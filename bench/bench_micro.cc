@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/lru_cache.h"
+#include "common/hash_key.h"
 #include "common/rng.h"
 #include "common/sha1.h"
 #include "dht/finger_table.h"
@@ -25,6 +26,16 @@ static void BM_Sha1Hash64B(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_Sha1Hash64B);
+
+// Ring key of one short intermediate key: the per-record routing digest.
+static void BM_KeyOfShortKey(benchmark::State& state) {
+  std::string key = "wordword";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KeyOf(key));
+    key[0] = static_cast<char>('a' + (key[0] - 'a' + 1) % 26);
+  }
+}
+BENCHMARK(BM_KeyOfShortKey);
 
 static void BM_Sha1Hash1MiB(benchmark::State& state) {
   std::string msg(1 << 20, 'x');

@@ -1,11 +1,27 @@
 #include "common/hash_key.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 
 namespace eclipse {
 
 HashKey KeyOf(std::string_view name) {
+  // Names of up to 55 bytes pad into a single block: the name, 0x80, zeros,
+  // and the bit length in the last bytes. Every word key, block id and
+  // spill id the engine routes fits, so this skips Sha1's buffering.
+  if (name.size() <= 55) {
+    std::uint8_t block[64] = {};
+    std::memcpy(block, name.data(), name.size());
+    block[name.size()] = 0x80;
+    const std::size_t bits = name.size() * 8;
+    block[62] = static_cast<std::uint8_t>(bits >> 8);
+    block[63] = static_cast<std::uint8_t>(bits);
+    internal::Sha1State state = internal::kSha1Init;
+    internal::Compress(state, block);
+    return (HashKey{state[0]} << 32) | state[1];
+  }
   Sha1Digest d = Sha1::Hash(name);
   HashKey k = 0;
   for (int i = 0; i < 8; ++i) k = (k << 8) | d[i];
@@ -13,6 +29,14 @@ HashKey KeyOf(std::string_view name) {
 }
 
 HashKey BlockKey(std::string_view file_name, std::uint64_t index) {
+  // "name#index" on the stack; a std::string only for very long names.
+  char buf[128];
+  if (file_name.size() < sizeof buf) {
+    std::memcpy(buf, file_name.data(), file_name.size());
+    buf[file_name.size()] = '#';
+    auto [end, ec] = std::to_chars(buf + file_name.size() + 1, buf + sizeof buf, index);
+    if (ec == std::errc()) return KeyOf(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  }
   std::string id(file_name);
   id += '#';
   id += std::to_string(index);

@@ -88,7 +88,6 @@ enum class Rank : int {
   kStragglerDetector = 810,  // fault/straggler.h   StragglerDetector::mu_
 
   // -- 900: common infra (leaf-most) ----------------------------------------
-  kThreadPool = 900,     // common/thread_pool.h  ThreadPool::mu_
   kMetrics = 910,        // common/metrics.h      MetricsRegistry::mu_
   kTraceRegistry = 920,  // obs/trace.h           Tracer::mu_
   kTraceLog = 930,       // obs/trace.h           Tracer::ThreadLog::mu

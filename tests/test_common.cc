@@ -1,5 +1,5 @@
-// Units, Result/Status, serde, arena, buffer pool, event count, thread
-// pool, and RNG distribution tests.
+// Units, Result/Status, serde, arena, buffer pool, event count, and RNG
+// distribution tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/serde.h"
-#include "common/thread_pool.h"
 #include "common/units.h"
 
 namespace eclipse {
@@ -98,41 +97,6 @@ TEST(Serde, TruncationFails) {
   BinaryReader r2("");
   std::uint64_t v;
   EXPECT_FALSE(r2.GetU64(&v));
-}
-
-TEST(ThreadPool, RunsSubmittedWork) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.Submit([&counter, i] {
-      ++counter;
-      return i * 2;
-    }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * 2);
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitDrainsEverything) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Post([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++done;
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 32);
-  EXPECT_EQ(pool.QueueDepth(), 0u);
-  EXPECT_EQ(pool.Running(), 0u);
-}
-
-TEST(ThreadPool, AtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  EXPECT_EQ(pool.Submit([] { return 5; }).get(), 5);
 }
 
 TEST(Rng, Deterministic) {

@@ -41,6 +41,24 @@ TEST(KeyOf, DeterministicAndSpread) {
   EXPECT_NE(BlockKey("f", 0), KeyOf("f"));
 }
 
+// A block id is "name#index". These keys come from an independent SHA-1
+// (Python's hashlib) and pin BlockKey's stack-buffer formatting, including
+// the largest index and names too long for the buffer.
+TEST(BlockKey, PinnedDigests) {
+  EXPECT_EQ(BlockKey("f", 0), 0x3764ad90665939a9ull);
+  EXPECT_EQ(BlockKey("input.txt", 7), 0x9ce8847bf515b845ull);
+  EXPECT_EQ(BlockKey("", ~std::uint64_t{0}), 0x955339fe0a266449ull);
+  EXPECT_EQ(BlockKey(std::string(100, 'n'), 3), 0x5a60c244ee78e6b9ull);
+  EXPECT_EQ(BlockKey(std::string(130, 'n'), 3), 0xa2bee2fd275b706dull);
+  for (std::size_t len : {0u, 50u, 106u, 107u, 126u, 127u, 128u, 200u}) {
+    const std::string name(len, 'b');
+    for (std::uint64_t i : {std::uint64_t{0}, std::uint64_t{42}, ~std::uint64_t{0}}) {
+      EXPECT_EQ(BlockKey(name, i), KeyOf(name + "#" + std::to_string(i)))
+          << "len=" << len << " index=" << i;
+    }
+  }
+}
+
 TEST(KeyRange, SimpleContains) {
   KeyRange r{100, 200, false};
   EXPECT_TRUE(r.Contains(100));

@@ -3,7 +3,7 @@
 // This binary replaces the global operator new/delete with counting
 // forwarders, warms the per-task scratch structures once, and then asserts
 // that the steady state — ShuffleWriter::Add over records that fit the
-// spill threshold, and the reduce grouping kernel (DecodeSpillViews +
+// spill threshold, BlockKey, and the reduce grouping kernel (DecodeSpillViews +
 // ForEachGroupViews) over a warmed ReduceScratch — performs exactly zero
 // heap allocations. It runs under the plain, ASan, and TSan builds; the
 // counter only observes this binary's single thread, which is why these
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/hash_key.h"
 #include "dfs/dfs_client.h"
 #include "fault/straggler.h"
 #include "dfs/dfs_node.h"
@@ -74,6 +75,17 @@ TEST(HotAlloc, ArenaSteadyStateIsAllocationFree) {
   EXPECT_EQ(delta, 0u)
       << "a warmed arena must serve the same workload without touching the heap";
   arena.Reset();
+}
+
+TEST(HotAlloc, BlockKeyIsAllocationFree) {
+  // FileMetadata::KeyOfBlock runs on every block read, put and delete.
+  const std::string name = "corpus/input-file.txt";
+  HashKey acc = 0;
+  std::uint64_t before = AllocCount();
+  for (std::uint64_t i = 0; i < 1000; ++i) acc ^= BlockKey(name, i * 7919);
+  std::uint64_t delta = AllocCount() - before;
+  EXPECT_NE(acc, 0u);
+  EXPECT_EQ(delta, 0u) << "block ids must be formatted without touching the heap";
 }
 
 TEST(HotAlloc, StragglerDetectorMemoryIsBoundedOverAMillionRecords) {

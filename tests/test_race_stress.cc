@@ -1,9 +1,9 @@
 // Race-hunting stress suite: designed to make TSan bite.
 //
 // Every test here hammers one of the concurrency-heavy layers from many
-// threads at once — the shared-budget LRU cache, the worker thread pools,
-// transport registration vs. in-flight calls, DHT membership churn racing
-// routing lookups, and a full job running concurrently with a server kill.
+// threads at once — the shared-budget LRU cache, transport registration
+// vs. in-flight calls, DHT membership churn racing routing lookups, and a
+// full job running concurrently with a server kill.
 // The assertions check invariants that only hold if the locking is right;
 // the real teeth are the sanitizer build modes (-DECLIPSE_SANITIZE=thread /
 // address), under which CI runs this binary.
@@ -26,7 +26,6 @@
 #include "common/lock_rank.h"
 #include "common/mutex.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dfs/block_store.h"
 #include "dht/membership.h"
 #include "fault/fault_plan.h"
@@ -111,48 +110,6 @@ TEST(RaceStress, LruCachePutGetEvictHammer) {
   EXPECT_EQ(cache.Entries().size(), cache.Count());
   auto stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, gets.load()) << "lost or double-counted a Get";
-}
-
-TEST(RaceStress, ThreadPoolSubmitWaitDestroy) {
-  // Repeatedly build a pool, hammer Submit/Post/Wait/QueueDepth from several
-  // threads, then destroy it with work possibly still queued: the destructor
-  // must drain every task (counter proves none were dropped or double-run).
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<std::uint64_t> executed{0};
-    std::uint64_t submitted = 0;
-    {
-      ThreadPool pool(4);
-      std::vector<std::thread> submitters;
-      std::atomic<std::uint64_t> submitted_atomic{0};
-      for (int t = 0; t < 3; ++t) {
-        submitters.emplace_back([&pool, &executed, &submitted_atomic] {
-          for (int i = 0; i < 200; ++i) {
-            if (i % 3 == 0) {
-              pool.Post([&executed] { executed.fetch_add(1); });
-            } else {
-              (void)pool.Submit([&executed] {
-                executed.fetch_add(1);
-                return 0;
-              });
-            }
-            submitted_atomic.fetch_add(1);
-          }
-        });
-      }
-      std::thread prober([&pool] {
-        for (int i = 0; i < 50; ++i) {
-          (void)pool.QueueDepth();
-          (void)pool.Running();
-          pool.Wait();
-        }
-      });
-      for (auto& s : submitters) s.join();
-      prober.join();
-      submitted = submitted_atomic.load();
-      // Pool destroyed here, possibly with tasks still queued.
-    }
-    EXPECT_EQ(executed.load(), submitted) << "destructor dropped queued tasks";
-  }
 }
 
 TEST(RaceStress, TransportRegisterVsCall) {
