@@ -3,6 +3,7 @@
 // the DHT routing-table lookup overhead discussion (§II-A/E).
 #include <benchmark/benchmark.h>
 
+#include "apps/wordcount.h"
 #include "cache/lru_cache.h"
 #include "common/hash_key.h"
 #include "common/rng.h"
@@ -17,6 +18,7 @@
 #include "net/tcp_transport.h"
 #include "obs/trace.h"
 #include "sched/laf_scheduler.h"
+#include "workload/generators.h"
 
 using namespace eclipse;
 
@@ -124,6 +126,48 @@ static void BM_RecordExtraction(benchmark::State& state) {
                           static_cast<int64_t>(block.size()));
 }
 BENCHMARK(BM_RecordExtraction);
+
+// The word-count map function over one block, as a map task runs it: a
+// fresh mapper, every line through Map, then Finish's combined emission
+// (into a sink that only counts). Zipf text over the default 1000-word
+// vocabulary, as the jobbench scan/tenants corpora.
+static void BM_WordCountMap(benchmark::State& state) {
+  class NullContext : public mr::MapContext {
+   public:
+    void Emit(std::string_view key, std::string_view value) override {
+      benchmark::DoNotOptimize(key.data());
+      benchmark::DoNotOptimize(value.data());
+      ++pairs;
+    }
+    const std::string& shared_state() const override { return state_; }
+    std::uint64_t pairs = 0;
+
+   private:
+    std::string state_;
+  };
+  Rng rng(7);
+  workload::TextOptions topts;
+  topts.target_bytes = static_cast<Bytes>(state.range(0));
+  const std::string block = workload::GenerateText(rng, topts);
+  std::vector<std::string_view> lines;
+  for (std::size_t pos = 0; pos < block.size();) {
+    std::size_t nl = block.find('\n', pos);
+    if (nl == std::string::npos) nl = block.size();
+    lines.push_back(std::string_view(block).substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  NullContext ctx;
+  for (auto _ : state) {
+    apps::WordCountMapper mapper;
+    for (std::string_view line : lines) mapper.Map(line, ctx);
+    mapper.Finish(ctx);
+  }
+  state.counters["pairs_per_block"] =
+      static_cast<double>(ctx.pairs) / static_cast<double>(state.iterations());
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_WordCountMap)->Arg(4 << 10)->Arg(64 << 10);
 
 static void BM_SpillEncodeDecode(benchmark::State& state) {
   std::vector<mr::KV> pairs;

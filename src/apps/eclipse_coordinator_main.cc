@@ -79,8 +79,9 @@ class MetricsHttpServer {
       std::string body = render_();
       std::string head = "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n"
                          "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-      (void)::write(client, head.data(), head.size());
-      (void)::write(client, body.data(), body.size());
+      // MSG_NOSIGNAL: a scraper that hung up early must not SIGPIPE us.
+      (void)::send(client, head.data(), head.size(), MSG_NOSIGNAL);
+      (void)::send(client, body.data(), body.size(), MSG_NOSIGNAL);
       ::close(client);
     }
   }

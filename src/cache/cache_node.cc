@@ -83,11 +83,17 @@ net::Message CacheNode::Handle(int from, const net::Message& m) {
 
     case msg::kErase: {
       BinaryReader r(m.payload);
-      std::string id;
-      if (!r.GetString(&id)) {
+      std::uint32_t n = 0;
+      if (!r.GetU32(&n)) {
         return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad cache erase");
       }
-      cache_.Erase(id);
+      std::string id;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (!r.GetString(&id)) {
+          return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad cache erase");
+        }
+        cache_.Erase(id);
+      }
       return net::Message{msg::kOk, {}};
     }
 
@@ -230,9 +236,10 @@ bool CacheClient::PutPlaceholderTo(int server, const std::string& id, HashKey ke
       transport_.Call(self_, server, EncodePut(id, key, {}, size, kind)));
 }
 
-void CacheClient::EraseAt(int server, const std::string& id) {
+void CacheClient::EraseAt(int server, const std::vector<std::string>& ids) {
   BinaryWriter w;
-  w.PutString(id);
+  w.PutU32(static_cast<std::uint32_t>(ids.size()));
+  for (const std::string& id : ids) w.PutString(id);
   (void)transport_.Call(self_, server, net::Message{msg::kErase, w.Take()});
 }
 

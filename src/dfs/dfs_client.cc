@@ -304,14 +304,20 @@ Result<std::string> DfsClient::GetObject(const std::string& id, HashKey key) {
   return last;
 }
 
-void DfsClient::DeleteObject(const std::string& id, HashKey key, std::size_t replication) {
+void DfsClient::DeleteObjects(const std::vector<ObjectRef>& objects, std::size_t replication) {
   RingSnapshot ring_snap = ring_();
   static const dht::Ring kNoRing;
   const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
-  BinaryWriter w;
-  w.PutString(id);
-  net::Message del{msg::kDeleteBlock, w.Take()};
-  for (int server : ring.Replicas(key, replication)) CallOk(server, del);
+  std::map<int, std::vector<std::string_view>> by_server;
+  for (const ObjectRef& o : objects) {
+    for (int server : ring.Replicas(o.key, replication)) by_server[server].push_back(o.id);
+  }
+  for (const auto& [server, ids] : by_server) {
+    BinaryWriter w;
+    w.PutU32(static_cast<std::uint32_t>(ids.size()));
+    for (std::string_view id : ids) w.PutString(id);
+    CallOk(server, net::Message{msg::kDeleteBlocks, w.Take()});
+  }
 }
 
 }  // namespace eclipse::dfs

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dfs/dfs_node.h"
@@ -93,8 +94,16 @@ class DfsClient {
   /// Fetch an object stored with PutObject (or fail NotFound / Expired).
   Result<std::string> GetObject(const std::string& id, HashKey key);
 
-  /// Delete an object on every replica candidate.
-  void DeleteObject(const std::string& id, HashKey key, std::size_t replication = 1);
+  /// An object stored with PutObject: its id and the hash key it was put by.
+  struct ObjectRef {
+    std::string_view id;
+    HashKey key = 0;
+  };
+
+  /// Delete objects on every replica candidate, with one request per
+  /// server: each receives every id it may hold in a single kDeleteBlocks.
+  /// Best-effort: unreachable servers are skipped.
+  void DeleteObjects(const std::vector<ObjectRef>& objects, std::size_t replication = 1);
 
   const DfsClientOptions& options() const { return options_; }
 

@@ -241,6 +241,22 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
       return Ok();
     }
 
+    case msg::kDeleteBlocks: {
+      BinaryReader r(m.payload);
+      std::uint32_t n = 0;
+      if (!r.GetU32(&n)) {
+        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlocks request");
+      }
+      std::string id;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (!r.GetString(&id)) {
+          return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlocks request");
+        }
+        blocks_.Erase(id);
+      }
+      return Ok();
+    }
+
     case msg::kListBlocks: {
       BinaryWriter w;
       auto infos = blocks_.List();

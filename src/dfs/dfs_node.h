@@ -29,6 +29,7 @@ inline constexpr std::uint32_t kListBlocks = 206;
 inline constexpr std::uint32_t kListMetadata = 207;
 inline constexpr std::uint32_t kGetBlockRange = 208;
 inline constexpr std::uint32_t kRoutedGet = 209;
+inline constexpr std::uint32_t kDeleteBlocks = 210;  // u32 count + ids
 inline constexpr std::uint32_t kOk = 299;
 }  // namespace msg
 

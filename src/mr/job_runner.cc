@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <future>
 #include <set>
@@ -101,6 +102,12 @@ JobResult JobRunner::Run() {
     result.status = Status::Error(ErrorCode::kCancelled, "job cancelled before start");
     return result;
   }
+  // Every exit from here on releases the job's private spills: once Run
+  // returns, no reader of this job's spill scope is left.
+  struct SpillReleaser {
+    JobRunner& runner;
+    ~SpillReleaser() { runner.ReleaseSpills(); }
+  } releaser{*this};
 
   // Step 1-2 (Fig. 2): metadata from each input's file-metadata owner.
   std::vector<std::string> inputs{spec_.input_file};
@@ -125,7 +132,6 @@ JobResult JobRunner::Run() {
   }
   Status map_status = RunMapPhase(blocks);
   if (JobCancelled()) {
-    CleanupCancelledSpills();
     result.status = Status::Error(ErrorCode::kCancelled, "job cancelled during map phase");
     return result;
   }
@@ -147,7 +153,6 @@ JobResult JobRunner::Run() {
     if (reduce_status.ok() || reduce_status.code() != ErrorCode::kNotFound) break;
   }
   if (JobCancelled()) {
-    CleanupCancelledSpills();
     result.status =
         Status::Error(ErrorCode::kCancelled, "job cancelled during reduce phase");
     return result;
@@ -194,11 +199,9 @@ JobResult JobRunner::Run() {
                               static_cast<std::uint64_t>(stats_.wall_seconds * 1e6));
 
   auto& metrics = cluster_.metrics();
-  // Per-job / per-user series (job="N" matches the trace spans' job arg) —
-  // alongside the unlabeled cluster-wide totals, which stay as before.
-  const MetricLabels job_label{{"job", std::to_string(job_id_)}};
-  metrics.GetCounter("mr.job_map_tasks", job_label).Add(stats_.map_tasks);
-  metrics.GetCounter("mr.job_reduce_tasks", job_label).Add(stats_.reduce_tasks);
+  // Per-user series beside the unlabeled cluster-wide totals. Nothing here
+  // is labeled by job: a per-job series would grow the registry by one
+  // entry per job forever; the trace's `job` arg attributes tasks instead.
   metrics.GetHistogram("mr.job_wall_us_by_user", {{"user", user_}})
       .Record(static_cast<std::uint64_t>(stats_.wall_seconds * 1e6));
   metrics.GetCounter("mr.jobs_by_user", {{"user", user_}}).Add();
@@ -236,40 +239,47 @@ Status JobRunner::RunReducePhase(std::vector<KV>* output) {
                                      : RunReducePhaseSequential(output);
 }
 
-void JobRunner::CleanupCancelledSpills() {
+void JobRunner::ReleaseSpills() {
   // Tagged intermediates stay: every spill in spills_ was fully written and
   // its manifest is independently valid, so a later job with the same tag
   // reuses them (§II-C). Untagged spills are private to this job_id — no
   // other job can ever reference them, so delete them from the DHT FS.
   if (!spec_.intermediate_tag.empty()) return;
-  std::vector<SpillInfo> doomed;
+  std::map<std::string, SpillInfo> doomed;
+  std::set<std::pair<HashKey, int>> holders;
   {
     MutexLock lock(state_mu_);
-    doomed.reserve(spills_.size() + orphan_spills_.size());
-    for (const auto& [id, info] : spills_) doomed.push_back(info);
-    for (auto& info : orphan_spills_) doomed.push_back(std::move(info));
-    spills_.clear();
+    doomed.swap(spills_);
+    // Ledger ids may repeat across attempts and alias live spills.
+    for (auto& info : orphan_spills_) doomed.try_emplace(info.id, std::move(info));
     spill_block_.clear();
     orphan_spills_.clear();
+    holders.swap(ocache_holders_);
   }
-  std::set<std::string> deleted;  // ledger ids may repeat across attempts
-  const std::vector<int> worker_ids = cluster_.WorkerIds();
-  for (const auto& info : doomed) {
-    if (!deleted.insert(info.id).second) continue;
-    cluster_.dfs().DeleteObject(info.id, info.range_begin);  // best-effort
-    // Reducers that ran before the cancellation cached the spill in oCache;
-    // the id is private to this job, so the entry can never hit again —
-    // evict it rather than let it squat on cache budget.
-    for (int id : worker_ids) {
-      WorkerServer& w = cluster_.worker(id);
-      if (!w.dead()) w.CacheErase(info.id);
+  if (doomed.empty()) return;
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<dfs::DfsClient::ObjectRef> objects;
+  objects.reserve(doomed.size());
+  for (const auto& [id, info] : doomed) objects.push_back({id, info.range_begin});
+  cluster_.dfs().DeleteObjects(objects);  // one request per owning server
+  // A spill can sit only in the oCache of a worker whose reduce attempt
+  // read its range: one erase per such worker, carrying just those ids.
+  std::map<int, std::vector<std::string>> evict;
+  for (const auto& [id, info] : doomed) {
+    for (auto it = holders.lower_bound({info.range_begin, INT_MIN});
+         it != holders.end() && it->first == info.range_begin; ++it) {
+      evict[it->second].push_back(id);
     }
   }
-  if (!deleted.empty()) {
-    obs::Tracer::Global().Emit('i', "mr", "cancel_cleanup", obs::kDriverPid,
-                               {obs::U64("job", job_id_),
-                                obs::U64("spills_deleted", deleted.size())});
+  for (const auto& [worker, ids] : evict) {
+    WorkerServer& w = cluster_.worker(worker);
+    if (!w.dead()) w.CacheErase(ids);
   }
+  obs::Tracer::Global().Emit(
+      'i', "mr", "spill_release", obs::kDriverPid,
+      {obs::U64("job", job_id_), obs::U64("spills_deleted", doomed.size()),
+       obs::U64("cancelled", JobCancelled() ? 1 : 0),
+       obs::U64("us", ElapsedUs(t0, std::chrono::steady_clock::now()))});
 }
 
 Status JobRunner::RunReducePhaseSequential(std::vector<KV>* output) {
@@ -775,9 +785,14 @@ Status JobRunner::RunMapPhase(const std::vector<BlockRef>& blocks,
       if (force_recompute) {
         // Drop the block's previous (possibly manifest-derived, possibly
         // stale-range) spills: the fresh execution is authoritative.
+        // The dropped entries go to the orphan ledger, so ReleaseSpills
+        // still deletes any copy that outlived the failure.
         for (auto it = spill_block_.begin(); it != spill_block_.end();) {
           if (it->second == t.ref) {
-            spills_.erase(it->first);
+            if (auto sp = spills_.find(it->first); sp != spills_.end()) {
+              orphan_spills_.push_back(std::move(sp->second));
+              spills_.erase(sp);
+            }
             it = spill_block_.erase(it);
           } else {
             ++it;
@@ -1072,6 +1087,11 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   if (w.dead()) {
     out.status = Status::Error(ErrorCode::kUnavailable, "worker died");
     return out;
+  }
+  if (spec_.cache_intermediates && !spills.empty()) {
+    // One range per reduce group; its spills may land in w's oCache below.
+    MutexLock lock(state_mu_);
+    ocache_holders_.emplace(spills.front().range_begin, w.id());
   }
 
   // Flat zero-copy grouping: decode every spill into one view vector (the

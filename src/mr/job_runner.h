@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "fault/straggler.h"
 #include "mr/cluster.h"
@@ -89,9 +91,12 @@ class JobRunner {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
   }
 
-  /// Best-effort removal of the cancelled job's partial intermediates from
-  /// the DHT FS (tagged jobs keep theirs — their manifests stay reusable).
-  void CleanupCancelledSpills();
+  /// Best-effort removal of an untagged job's spills (spills_ and the
+  /// orphan ledger) from the DHT FS and from the oCaches its reducers
+  /// filled, batched: one request per server. Runs on every exit of Run —
+  /// success, failure and cancel.
+  /// Tagged jobs keep theirs: their manifests stay reusable (§II-C).
+  void ReleaseSpills();
 
   /// One pass over the reduce plan derived from the current spill set.
   /// Returns NotFound after re-running producers of lost spills (caller
@@ -126,12 +131,17 @@ class JobRunner {
   std::map<std::string, SpillInfo> spills_ GUARDED_BY(state_mu_);  // id -> info (deduped)
   std::map<std::string, BlockRef> spill_block_
       GUARDED_BY(state_mu_);  // id -> producing input block
-  /// Spills reported by failed or cancelled attempts. Not part of the reduce
-  /// plan; CleanupCancelledSpills deletes them alongside spills_ so a
-  /// cancelled job leaves no partial intermediates in the DHT FS. Harmless
-  /// when the job goes on to succeed: spill ids are deterministic, so a
-  /// retried attempt re-registers the same ids in spills_.
+  /// Spills reported by failed or cancelled attempts, and spills dropped
+  /// from the plan when their maps re-ran. Not part of the reduce plan;
+  /// ReleaseSpills deletes them alongside spills_ so a finished job leaves
+  /// no intermediates in the DHT FS. Spill ids are deterministic, so a
+  /// retried attempt may re-register the same ids in spills_; the release
+  /// dedupes them.
   std::vector<SpillInfo> orphan_spills_ GUARDED_BY(state_mu_);
+  /// (range_begin, worker) for every reduce attempt that may have cached
+  /// that range's spills in the worker's oCache; ReleaseSpills evicts each
+  /// spill only where a reducer could have put it.
+  std::set<std::pair<HashKey, int>> ocache_holders_ GUARDED_BY(state_mu_);
   JobStats stats_;            // driver-thread only (outcomes are collected on
                               // the submitting thread, never on pool threads)
 };

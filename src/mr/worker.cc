@@ -55,12 +55,12 @@ bool WorkerServer::CachePut(const std::string& id, HashKey key,
   return cache_client_->PutTo(id_, id, key, std::string_view(*data), kind);
 }
 
-void WorkerServer::CacheErase(const std::string& id) {
+void WorkerServer::CacheErase(const std::vector<std::string>& ids) {
   if (cache_node_) {
-    cache_node_->local().Erase(id);
+    for (const std::string& id : ids) cache_node_->local().Erase(id);
     return;
   }
-  cache_client_->EraseAt(id_, id);
+  cache_client_->EraseAt(id_, ids);
 }
 
 std::size_t WorkerServer::CacheMigrateFrom(int neighbor, const KeyRange& range) {

@@ -52,7 +52,12 @@ std::string ErrnoString(int err) {
 
 bool WritevFull(int fd, struct iovec* iov, int iovcnt, int deadline_ms) {
   while (iovcnt > 0) {
-    ssize_t w = ::writev(fd, iov, iovcnt);
+    // sendmsg, not writev: MSG_NOSIGNAL turns a write to a peer that just
+    // closed into EPIPE instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {

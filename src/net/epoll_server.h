@@ -168,7 +168,8 @@ std::string ErrnoString(int err);
 
 /// Write the full iovec array, waiting (poll) when the socket is not ready,
 /// bounded by `deadline_ms` per wait (-1 = no bound). Returns false on error
-/// or timeout. The iovec array is clobbered.
+/// or timeout — a peer that closed included: the write never raises
+/// SIGPIPE. `fd` must be a socket. The iovec array is clobbered.
 bool WritevFull(int fd, struct iovec* iov, int iovcnt, int deadline_ms);
 
 /// Read exactly `n` bytes, waiting (poll) when the socket has no data,

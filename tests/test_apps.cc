@@ -2,7 +2,9 @@
 // references) independent of the engine.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <string_view>
 
 #include "apps/grep.h"
 #include "apps/inverted_index.h"
@@ -25,6 +27,20 @@ TEST(TextUtil, SplitDropsEmptyPieces) {
 TEST(TextUtil, SplitWords) {
   EXPECT_EQ(SplitWords("  foo\tbar  baz\n"), (std::vector<std::string>{"foo", "bar", "baz"}));
   EXPECT_TRUE(SplitWords("   ").empty());
+}
+
+TEST(TextUtil, WhitespaceTableMatchesIsspace) {
+  // ForEachWord's table must be exactly the C-locale std::isspace set, or
+  // the mappers and the serial oracles (SplitWords) would split apart.
+  std::string all;
+  for (int c = 0; c < 256; ++c) {
+    EXPECT_EQ(kIsSpace[static_cast<std::size_t>(c)], std::isspace(c) != 0) << "byte " << c;
+    all.push_back(static_cast<char>(c));
+    all.push_back(static_cast<char>(255 - c));
+  }
+  std::vector<std::string> words;
+  ForEachWord(all, [&](std::string_view w) { words.emplace_back(w); });
+  EXPECT_EQ(words, SplitWords(all));
 }
 
 TEST(TextUtil, DoubleRoundTrip) {

@@ -168,8 +168,11 @@ TEST_F(DfsTest, ObjectsWithTtl) {
   auto got = client_->GetObject("obj", key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), "payload");
-  client_->DeleteObject("obj", key);
+  HashKey other_key = KeyOf("other-key");
+  ASSERT_TRUE(client_->PutObject("other", other_key, "more").ok());
+  client_->DeleteObjects({{"obj", key}, {"other", other_key}});
   EXPECT_EQ(client_->GetObject("obj", key).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(client_->GetObject("other", other_key).status().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(DfsTest, ListFilesUnionsDecentralizedNamespace) {

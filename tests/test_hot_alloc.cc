@@ -3,7 +3,8 @@
 // This binary replaces the global operator new/delete with counting
 // forwarders, warms the per-task scratch structures once, and then asserts
 // that the steady state — ShuffleWriter::Add over records that fit the
-// spill threshold, BlockKey, and the reduce grouping kernel (DecodeSpillViews +
+// spill threshold, BlockKey, the word-count combiner over a block of words
+// it has seen before, and the reduce grouping kernel (DecodeSpillViews +
 // ForEachGroupViews) over a warmed ReduceScratch — performs exactly zero
 // heap allocations. It runs under the plain, ASan, and TSan builds; the
 // counter only observes this binary's single thread, which is why these
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/wordcount.h"
 #include "common/arena.h"
 #include "common/hash_key.h"
 #include "dfs/dfs_client.h"
@@ -86,6 +88,47 @@ TEST(HotAlloc, BlockKeyIsAllocationFree) {
   std::uint64_t delta = AllocCount() - before;
   EXPECT_NE(acc, 0u);
   EXPECT_EQ(delta, 0u) << "block ids must be formatted without touching the heap";
+}
+
+TEST(HotAlloc, WarmedWordCountMapperIsAllocationFree) {
+  // A mapper that has seen one block keeps its table and arena capacity:
+  // mapping and finishing a second block of no more distinct words must not
+  // touch the heap (emission goes to a counting sink, so only the mapper's
+  // own work is measured).
+  class CountingContext : public MapContext {
+   public:
+    void Emit(std::string_view key, std::string_view value) override {
+      pairs += 1;
+      bytes += key.size() + value.size();
+    }
+    const std::string& shared_state() const override { return state_; }
+    std::uint64_t pairs = 0;
+    std::uint64_t bytes = 0;
+
+   private:
+    std::string state_;
+  };
+  std::vector<std::string> lines;
+  for (int i = 0; i < 400; ++i) {
+    std::string line;
+    for (int j = 0; j < 12; ++j) {
+      line += "w" + std::to_string((i * 31 + j * 7) % 900) + (j % 3 == 0 ? "\t" : " ");
+    }
+    lines.push_back(std::move(line));
+  }
+  apps::WordCountMapper mapper;
+  CountingContext ctx;
+  for (const auto& line : lines) mapper.Map(line, ctx);
+  mapper.Finish(ctx);
+  const std::uint64_t first_pairs = ctx.pairs;
+  ASSERT_GT(first_pairs, 512u) << "the first block must grow the table past its start";
+
+  std::uint64_t before = AllocCount();
+  for (auto it = lines.rbegin(); it != lines.rend(); ++it) mapper.Map(*it, ctx);
+  mapper.Finish(ctx);
+  std::uint64_t delta = AllocCount() - before;
+  EXPECT_EQ(ctx.pairs, 2 * first_pairs);
+  EXPECT_EQ(delta, 0u) << "a warmed combiner must count and emit without touching the heap";
 }
 
 TEST(HotAlloc, StragglerDetectorMemoryIsBoundedOverAMillionRecords) {

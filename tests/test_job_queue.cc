@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/grep.h"
+#include "apps/text_util.h"
 #include "apps/wordcount.h"
 #include "common/rng.h"
 #include "mr/cluster.h"
@@ -72,6 +73,16 @@ void ExpectNoJobResidue(mr::Cluster& cluster, std::uint64_t job_id) {
           << "orphan cache entry " << entry.id << " on worker " << id;
     }
   }
+}
+
+/// Blocks held by each live server — input blocks and their replicas once
+/// no job leaves spills behind.
+std::map<int, std::size_t> BlockCounts(mr::Cluster& cluster) {
+  std::map<int, std::size_t> counts;
+  for (int id : cluster.WorkerIds()) {
+    if (!cluster.worker(id).dead()) counts[id] = cluster.worker(id).dfs_node().blocks().Count();
+  }
+  return counts;
 }
 
 TEST(JobQueue, SubmitWaitMatchesSoloRun) {
@@ -341,6 +352,104 @@ TEST(JobQueue, DestructionWithInFlightJobs) {
 
 // Per-user weighted sharing end to end: two users' jobs run concurrently
 // and both finish correctly with per-user accounting drained to zero.
+TEST(JobQueue, FinishedJobsReleaseTheirSpills) {
+  // An untagged job's spills are private to its job id: once it returns,
+  // nothing can read them. Every exit frees them — here, success — from the
+  // DHT FS and from the oCache the reducers read them through.
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 1_KiB;
+  mr::Cluster cluster(opts);
+  std::string text = MakeText(61);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  const auto baseline = BlockCounts(cluster);
+
+  std::vector<std::uint64_t> job_ids;
+  for (int i = 0; i < 3; ++i) {
+    mr::JobSpec spec = apps::WordCountJob("wc", "corpus");
+    spec.spill_threshold = 256;  // several spills per range
+    mr::JobResult r = cluster.Run(spec);
+    ExpectWordCount(r, text);
+    EXPECT_GT(r.stats.spills, 0u);
+    job_ids.push_back(r.job_id);
+  }
+  std::vector<mr::JobHandle> handles;
+  for (int i = 0; i < 3; ++i) handles.push_back(cluster.Submit(apps::WordCountJob("wc", "corpus")));
+  for (auto& h : handles) {
+    ExpectWordCount(h.Wait(), text);
+    job_ids.push_back(h.job_id());
+  }
+  EXPECT_EQ(BlockCounts(cluster), baseline) << "finished jobs left spills in the DHT FS";
+  for (std::uint64_t id : job_ids) ExpectNoJobResidue(cluster, id);
+}
+
+TEST(JobQueue, FailedJobReleasesItsSpills) {
+  // A map attempt that pushes spills and then blows its task deadline fails
+  // with partial spills on the orphan ledger; after the retries run out the
+  // job fails, and its exit frees every spill any attempt pushed.
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 1_KiB;
+  mr::Cluster cluster(opts);
+  std::string text = MakeText(62, 4_KiB);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  const auto baseline = BlockCounts(cluster);
+
+  mr::JobSpec job = apps::WordCountJob("late", "corpus");
+  job.spill_threshold = 16;
+  job.task_deadline = std::chrono::milliseconds(20);
+  job.mapper = [] {
+    // Emits every word at once (no combining), so spills are pushed while
+    // mapping; stalls past the deadline after the first record.
+    class Stalling : public mr::Mapper {
+     public:
+      void Map(std::string_view record, mr::MapContext& ctx) override {
+        if (records_++ == 1) std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        apps::ForEachWord(record, [&](std::string_view w) { ctx.Emit(w, "1"); });
+      }
+      void Finish(mr::MapContext&) override {}
+
+     private:
+      int records_ = 0;
+    };
+    return std::unique_ptr<mr::Mapper>(new Stalling());
+  };
+  mr::JobResult r = cluster.Run(job);
+  // The late spill push surfaces as a failed put (no replica accepted it).
+  ASSERT_FALSE(r.status.ok());
+  ASSERT_NE(r.status.code(), ErrorCode::kCancelled) << r.status.ToString();
+  EXPECT_EQ(BlockCounts(cluster), baseline) << "the failed job left spills in the DHT FS";
+  ExpectNoJobResidue(cluster, r.job_id);
+  ExpectAllSlotsFree(cluster);
+}
+
+TEST(JobQueue, TaggedSpillsOutliveTheirJobForReuse) {
+  // Tagged intermediates are the §II-C reuse path: the release leaves them
+  // (and their manifests) in place, and the next job with the same tag
+  // feeds every reducer from them.
+  mr::ClusterOptions opts;
+  opts.num_servers = 4;
+  opts.block_size = 1_KiB;
+  mr::Cluster cluster(opts);
+  std::string text = MakeText(63);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  const auto baseline = BlockCounts(cluster);
+
+  mr::JobSpec first = apps::WordCountJob("wc-a", "corpus");
+  first.intermediate_tag = "kept";
+  mr::JobResult r1 = cluster.Run(first);
+  ExpectWordCount(r1, text);
+  const auto after_first = BlockCounts(cluster);
+  EXPECT_NE(after_first, baseline) << "the tagged job's spills were released";
+
+  mr::JobSpec second = apps::WordCountJob("wc-b", "corpus");
+  second.intermediate_tag = "kept";
+  mr::JobResult r2 = cluster.Run(second);
+  ExpectWordCount(r2, text);
+  EXPECT_EQ(r2.stats.maps_skipped, r2.stats.map_tasks);
+  EXPECT_EQ(BlockCounts(cluster), after_first);
+}
+
 TEST(JobQueue, PerUserJobsShareCluster) {
   mr::ClusterOptions opts;
   opts.num_servers = 4;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
+#include <string_view>
 
 #include "apps/grep.h"
 #include "apps/inverted_index.h"
@@ -55,6 +57,78 @@ TEST(WordCountMapper_, CombinesInMapperAndEmitsOnFinish) {
   ASSERT_EQ(ctx.emitted.size(), 1u);
   EXPECT_EQ(ctx.emitted[0].key, "z");
   EXPECT_EQ(ctx.emitted[0].value, "1");
+}
+
+/// Random records over an alphabet of every C-locale whitespace byte, NUL,
+/// bytes >= 0x80 and a few letters; some records empty, some words longer
+/// than 64 bytes.
+std::vector<std::string> RandomRecords(std::mt19937_64& rng, int count) {
+  static const std::string kSpace = " \t\n\v\f\r";
+  static const std::string kWordBytes = std::string("abcxyz\0", 7) + "\x80\x85\xa0\xc3\xff";
+  std::vector<std::string> records;
+  for (int r = 0; r < count; ++r) {
+    std::string rec;
+    int words = static_cast<int>(rng() % 12);  // 0: empty (or all-space) record
+    for (int i = 0; i < words; ++i) {
+      int spaces = static_cast<int>(rng() % 3);
+      for (int s = 0; s < spaces; ++s) rec.push_back(kSpace[rng() % kSpace.size()]);
+      std::size_t len = rng() % 8 == 0 ? 60 + rng() % 80 : 1 + rng() % 4;
+      for (std::size_t k = 0; k < len; ++k) rec.push_back(kWordBytes[rng() % kWordBytes.size()]);
+    }
+    if (rng() % 2) rec.push_back(kSpace[rng() % kSpace.size()]);
+    records.push_back(std::move(rec));
+  }
+  return records;
+}
+
+/// Map `records` as one block and return word -> count, failing on any
+/// word emitted twice (the combiner must emit each word once per block).
+std::map<std::string, std::uint64_t> MapBlock(WordCountMapper& m,
+                                              const std::vector<std::string>& records) {
+  FakeMapContext ctx;
+  for (const auto& rec : records) m.Map(rec, ctx);
+  m.Finish(ctx);
+  std::map<std::string, std::uint64_t> got;
+  for (const auto& kv : ctx.emitted) {
+    EXPECT_TRUE(got.emplace(kv.key, ParseU64(kv.value)).second) << "emitted twice: " << kv.key;
+  }
+  return got;
+}
+
+std::string JoinLines(const std::vector<std::string>& records) {
+  std::string text;
+  for (const auto& rec : records) text += rec + "\n";
+  return text;
+}
+
+TEST(WordCountMapper_, MatchesSerialOnRandomBlocks) {
+  std::mt19937_64 rng(1234);
+  WordCountMapper m;  // one instance: each Finish must leave it clean for the next block
+  for (int block = 0; block < 40; ++block) {
+    auto records = RandomRecords(rng, 1 + static_cast<int>(rng() % 200));
+    EXPECT_EQ(MapBlock(m, records), WordCountSerial(JoinLines(records))) << "block " << block;
+  }
+}
+
+TEST(WordCountMapper_, GrowsThroughManyDistinctWords) {
+  // 20000 distinct words in one block take the table from its start size
+  // through several doublings; every count must survive each rehash.
+  std::mt19937_64 rng(99);
+  std::vector<std::string> records;
+  for (int i = 0; i < 2000; ++i) {
+    std::string rec;
+    for (int j = 0; j < 10; ++j) {
+      rec += "word" + std::to_string(i * 10 + j) + (j % 2 ? " " : "\t");
+      if (rng() % 4 == 0) rec += "common ";
+    }
+    records.push_back(std::move(rec));
+  }
+  WordCountMapper m;
+  for (int round = 0; round < 2; ++round) {
+    auto got = MapBlock(m, records);
+    EXPECT_EQ(got.size(), 20001u);
+    EXPECT_EQ(got, WordCountSerial(JoinLines(records))) << "round " << round;
+  }
 }
 
 TEST(WordCountReducer_, SumsPartials) {

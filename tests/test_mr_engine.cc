@@ -168,6 +168,20 @@ TEST(MrEngine, TaggedIntermediatesSkipMapsOnReuse) {
   }
 }
 
+TEST(MrEngine, MetricSeriesStayBoundedAcrossJobs) {
+  // No counter may be labeled per job: a long-lived coordinator would
+  // otherwise register new series with every job it runs.
+  Cluster cluster(SmallCluster(4));
+  std::string text = SampleText();
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  ASSERT_TRUE(cluster.Run(apps::WordCountJob("wc", "corpus")).status.ok());
+  const std::size_t series = cluster.metrics().CounterSnapshot().size();
+  for (int i = 1; i < 50; ++i) {
+    ASSERT_TRUE(cluster.Run(apps::WordCountJob("wc", "corpus")).status.ok()) << "job " << i;
+  }
+  EXPECT_EQ(cluster.metrics().CounterSnapshot().size(), series);
+}
+
 TEST(MrEngine, ExpiredIntermediatesAreRecomputed) {
   Cluster cluster(SmallCluster(3));
   std::string text = SampleText();

@@ -655,6 +655,10 @@ TEST(RaceStress, DispatcherAcceptVsShutdown) {
   // detached (which drains in-flight handlers and closes the listener) and
   // re-registered on the same port. Every call must complete or fail cleanly
   // — no crash, no std::terminate from a handler outliving its endpoint.
+  // Each registration is held until a call has landed on it, so every one
+  // of the 200 teardowns races live traffic (re-registering back to back
+  // left the listener up only microseconds, and whether any call landed at
+  // all was scheduling luck).
   net::TcpTransport server;
   std::atomic<std::uint64_t> handled{0};
   net::Handler handler = [&handled](net::NodeId, const net::Message& m) {
@@ -674,7 +678,21 @@ TEST(RaceStress, DispatcherAcceptVsShutdown) {
       // Same port so the hammering clients stay aimed at it; the listener
       // closed an instant ago, so rebinding exercises the reuse path too.
       int rebound = server.RegisterAt(0, handler, port);
-      ASSERT_EQ(rebound, port);
+      if (rebound != port) {
+        ADD_FAILURE() << "cycle " << i << ": rebound to " << rebound << ", not " << port;
+        break;
+      }
+      // Teardown drained the old endpoint's handlers, so any increment from
+      // here on is a call served by this registration.
+      const std::uint64_t seen = handled.load();
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (handled.load() == seen && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      if (handled.load() == seen) {
+        ADD_FAILURE() << "cycle " << i << ": no call landed within 10 s of re-registering";
+        break;
+      }
     }
     stop.store(true);
   });

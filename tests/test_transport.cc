@@ -1,12 +1,18 @@
 #include "net/transport.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
+#include <string>
 #include <thread>
 
 #include "common/serde.h"
 #include "net/dispatcher.h"
+#include "net/epoll_server.h"
 #include "net/tcp_transport.h"
 
 namespace eclipse::net {
@@ -81,6 +87,25 @@ TEST(ErrorMessageTest, RoundTrip) {
   Status s = DecodeError(m);
   EXPECT_EQ(s.code(), ErrorCode::kPermission);
   EXPECT_EQ(s.message(), "nope");
+}
+
+TEST(WritevFull, ClosedPeerFailsWithoutSigpipe) {
+  // Writing to a socket whose peer has closed raises SIGPIPE unless the
+  // send says otherwise; the default action kills the process. WritevFull
+  // must report the failure instead. SIGPIPE keeps its default disposition
+  // here, so a regression ends this test binary.
+  struct sigaction current {};
+  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &current), 0);
+  ASSERT_EQ(current.sa_handler, SIG_DFL) << "the test needs SIGPIPE's default action";
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  std::string head = "header";
+  std::string body(64 * 1024, 'x');
+  iovec iov[2] = {{head.data(), head.size()}, {body.data(), body.size()}};
+  EXPECT_FALSE(net::WritevFull(fds[0], iov, 2, 1000));
+  EXPECT_EQ(errno, EPIPE);
+  ::close(fds[0]);
 }
 
 TEST(TcpTransport, LoopbackRoundTrip) {

@@ -74,6 +74,10 @@ HOT_PATH_REQUIRED = [
      "pattern": r"std::string_view\s+CopyString\s*\("},
     {"file": "src/mr/shuffle.h",
      "pattern": r"HashKey\s+Get\s*\("},
+    {"file": "src/apps/text_util.h",
+     "pattern": r"void\s+ForEachWord\s*\("},
+    {"file": "src/apps/wordcount.cc",
+     "pattern": r"void\s+WordCountMapper::Count\s*\("},
 ]
 
 # Calls that may block indefinitely (RPCs, sleeps, joins). CondVar::wait on
