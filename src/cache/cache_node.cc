@@ -81,22 +81,6 @@ net::Message CacheNode::Handle(int from, const net::Message& m) {
       return net::Message{msg::kOk, w.Take()};
     }
 
-    case msg::kErase: {
-      BinaryReader r(m.payload);
-      std::uint32_t n = 0;
-      if (!r.GetU32(&n)) {
-        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad cache erase");
-      }
-      std::string id;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (!r.GetString(&id)) {
-          return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad cache erase");
-        }
-        cache_.Erase(id);
-      }
-      return net::Message{msg::kOk, {}};
-    }
-
     case msg::kStats: {
       // One round trip carries everything the coordinator's aggregation and
       // Prometheus export need: per-kind counters plus occupancy.
@@ -234,13 +218,6 @@ bool CacheClient::PutPlaceholderTo(int server, const std::string& id, HashKey ke
                                    Bytes size, EntryKind kind) {
   return PutAccepted(
       transport_.Call(self_, server, EncodePut(id, key, {}, size, kind)));
-}
-
-void CacheClient::EraseAt(int server, const std::vector<std::string>& ids) {
-  BinaryWriter w;
-  w.PutU32(static_cast<std::uint32_t>(ids.size()));
-  for (const std::string& id : ids) w.PutString(id);
-  (void)transport_.Call(self_, server, net::Message{msg::kErase, w.Take()});
 }
 
 CacheClient::RemoteInfo CacheClient::InfoFrom(int server) {

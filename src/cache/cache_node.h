@@ -7,9 +7,7 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "cache/lru_cache.h"
 #include "net/dispatcher.h"
@@ -20,7 +18,6 @@ namespace msg {
 inline constexpr std::uint32_t kFetch = 300;      // id + expected kind -> data or NotFound
 inline constexpr std::uint32_t kCollect = 301;    // KeyRange -> extracted entries
 inline constexpr std::uint32_t kPut = 302;        // insert (or placeholder) -> accepted flag
-inline constexpr std::uint32_t kErase = 303;      // u32 count + ids -> ok
 inline constexpr std::uint32_t kStats = 304;      // -> per-kind stats + used/capacity/count
 inline constexpr std::uint32_t kResetStats = 305; // -> ok
 inline constexpr std::uint32_t kOk = 399;
@@ -78,9 +75,6 @@ class CacheClient {
              std::string_view data, EntryKind kind);
   bool PutPlaceholderTo(int server, const std::string& id, HashKey key,
                         Bytes size, EntryKind kind);
-
-  /// Remove entries from `server`'s cache in one request (best-effort).
-  void EraseAt(int server, const std::vector<std::string>& ids);
 
   /// Point-in-time remote cache introspection (stats aggregation and the
   /// Prometheus per-server gauges).

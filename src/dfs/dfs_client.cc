@@ -218,17 +218,20 @@ Result<std::string> DfsClient::ReadFile(const std::string& name) {
 Status DfsClient::Delete(const std::string& name) {
   auto meta = GetMetadata(name);
   if (!meta.ok()) return meta.status();
+  const std::uint64_t num_blocks = meta.value().num_blocks;
+  std::vector<std::string> ids;
+  ids.reserve(num_blocks);
+  for (std::uint64_t i = 0; i < num_blocks; ++i) ids.push_back(BlockId(name, i));
+  std::vector<ObjectRef> blocks;
+  blocks.reserve(num_blocks);
+  for (std::uint64_t i = 0; i < num_blocks; ++i) {
+    blocks.push_back({ids[i], meta.value().KeyOfBlock(i)});
+  }
+  DeleteObjects(blocks, options_.replication);
+
   RingSnapshot ring_snap = ring_();
   static const dht::Ring kNoRing;
   const dht::Ring& ring = ring_snap ? *ring_snap : kNoRing;
-
-  for (std::uint64_t i = 0; i < meta.value().num_blocks; ++i) {
-    HashKey key = meta.value().KeyOfBlock(i);
-    BinaryWriter w;
-    w.PutString(BlockId(name, i));
-    net::Message del{msg::kDeleteBlock, w.Take()};
-    for (int server : ring.Replicas(key, options_.replication)) CallOk(server, del);
-  }
   BinaryWriter w;
   w.PutString(name);
   net::Message del{msg::kDeleteMetadata, w.Take()};
@@ -316,7 +319,7 @@ void DfsClient::DeleteObjects(const std::vector<ObjectRef>& objects, std::size_t
     BinaryWriter w;
     w.PutU32(static_cast<std::uint32_t>(ids.size()));
     for (std::string_view id : ids) w.PutString(id);
-    CallOk(server, net::Message{msg::kDeleteBlocks, w.Take()});
+    CallOk(server, net::Message{msg::kDeleteBlock, w.Take()});
   }
 }
 

@@ -100,8 +100,9 @@ class DfsClient {
     HashKey key = 0;
   };
 
-  /// Delete objects on every replica candidate, with one request per
-  /// server: each receives every id it may hold in a single kDeleteBlocks.
+  /// Delete objects (or file blocks) on every replica candidate, with one
+  /// request per server: each receives every id it may hold in a single
+  /// kDeleteBlock.
   /// Best-effort: unreachable servers are skipped.
   void DeleteObjects(const std::vector<ObjectRef>& objects, std::size_t replication = 1);
 

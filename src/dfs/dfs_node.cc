@@ -233,24 +233,14 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
 
     case msg::kDeleteBlock: {
       BinaryReader r(m.payload);
-      std::string id;
-      if (!r.GetString(&id)) {
-        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlock request");
-      }
-      blocks_.Erase(id);
-      return Ok();
-    }
-
-    case msg::kDeleteBlocks: {
-      BinaryReader r(m.payload);
       std::uint32_t n = 0;
       if (!r.GetU32(&n)) {
-        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlocks request");
+        return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlock request");
       }
       std::string id;
       for (std::uint32_t i = 0; i < n; ++i) {
         if (!r.GetString(&id)) {
-          return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlocks request");
+          return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad DeleteBlock request");
         }
         blocks_.Erase(id);
       }

@@ -24,12 +24,11 @@ inline constexpr std::uint32_t kGetMetadata = 201;
 inline constexpr std::uint32_t kDeleteMetadata = 202;
 inline constexpr std::uint32_t kPutBlock = 203;
 inline constexpr std::uint32_t kGetBlock = 204;
-inline constexpr std::uint32_t kDeleteBlock = 205;
+inline constexpr std::uint32_t kDeleteBlock = 205;  // u32 count + ids
 inline constexpr std::uint32_t kListBlocks = 206;
 inline constexpr std::uint32_t kListMetadata = 207;
 inline constexpr std::uint32_t kGetBlockRange = 208;
 inline constexpr std::uint32_t kRoutedGet = 209;
-inline constexpr std::uint32_t kDeleteBlocks = 210;  // u32 count + ids
 inline constexpr std::uint32_t kOk = 299;
 }  // namespace msg
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <climits>
 #include <cstring>
 #include <future>
-#include <set>
 #include <thread>
 
 #include "common/log.h"
@@ -243,10 +241,10 @@ void JobRunner::ReleaseSpills() {
   // Tagged intermediates stay: every spill in spills_ was fully written and
   // its manifest is independently valid, so a later job with the same tag
   // reuses them (§II-C). Untagged spills are private to this job_id — no
-  // other job can ever reference them, so delete them from the DHT FS.
+  // other job can ever reference them, so delete them from the DHT FS. They
+  // were never put in the oCache (RunReduceTask), so nothing is evicted.
   if (!spec_.intermediate_tag.empty()) return;
   std::map<std::string, SpillInfo> doomed;
-  std::set<std::pair<HashKey, int>> holders;
   {
     MutexLock lock(state_mu_);
     doomed.swap(spills_);
@@ -254,7 +252,6 @@ void JobRunner::ReleaseSpills() {
     for (auto& info : orphan_spills_) doomed.try_emplace(info.id, std::move(info));
     spill_block_.clear();
     orphan_spills_.clear();
-    holders.swap(ocache_holders_);
   }
   if (doomed.empty()) return;
   auto t0 = std::chrono::steady_clock::now();
@@ -262,19 +259,6 @@ void JobRunner::ReleaseSpills() {
   objects.reserve(doomed.size());
   for (const auto& [id, info] : doomed) objects.push_back({id, info.range_begin});
   cluster_.dfs().DeleteObjects(objects);  // one request per owning server
-  // A spill can sit only in the oCache of a worker whose reduce attempt
-  // read its range: one erase per such worker, carrying just those ids.
-  std::map<int, std::vector<std::string>> evict;
-  for (const auto& [id, info] : doomed) {
-    for (auto it = holders.lower_bound({info.range_begin, INT_MIN});
-         it != holders.end() && it->first == info.range_begin; ++it) {
-      evict[it->second].push_back(id);
-    }
-  }
-  for (const auto& [worker, ids] : evict) {
-    WorkerServer& w = cluster_.worker(worker);
-    if (!w.dead()) w.CacheErase(ids);
-  }
   obs::Tracer::Global().Emit(
       'i', "mr", "spill_release", obs::kDriverPid,
       {obs::U64("job", job_id_), obs::U64("spills_deleted", doomed.size()),
@@ -1088,11 +1072,6 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
     out.status = Status::Error(ErrorCode::kUnavailable, "worker died");
     return out;
   }
-  if (spec_.cache_intermediates && !spills.empty()) {
-    // One range per reduce group; its spills may land in w's oCache below.
-    MutexLock lock(state_mu_);
-    ocache_holders_.emplace(spills.front().range_begin, w.id());
-  }
 
   // Flat zero-copy grouping: decode every spill into one view vector (the
   // payloads stay pinned — cache handles for oCache hits, `payloads` for
@@ -1128,7 +1107,9 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
       }
       ++out.ocache_misses;
       data = std::make_shared<const std::string>(std::move(obj.value()));
-      if (spec_.cache_intermediates) {
+      // Only tagged spills can hit again once this job returns; an untagged
+      // one would hold oCache budget until evicted and is deleted at exit.
+      if (spec_.cache_intermediates && !spec_.intermediate_tag.empty()) {
         w.CachePut(spill.id, spill.range_begin, data, cache::EntryKind::kOutput);
       }
     }

@@ -13,8 +13,6 @@
 
 #include <atomic>
 #include <memory>
-#include <set>
-#include <utility>
 
 #include "fault/straggler.h"
 #include "mr/cluster.h"
@@ -92,9 +90,8 @@ class JobRunner {
   }
 
   /// Best-effort removal of an untagged job's spills (spills_ and the
-  /// orphan ledger) from the DHT FS and from the oCaches its reducers
-  /// filled, batched: one request per server. Runs on every exit of Run —
-  /// success, failure and cancel.
+  /// orphan ledger) from the DHT FS, batched: one request per server. Runs
+  /// on every exit of Run — success, failure and cancel.
   /// Tagged jobs keep theirs: their manifests stay reusable (§II-C).
   void ReleaseSpills();
 
@@ -138,10 +135,6 @@ class JobRunner {
   /// retried attempt may re-register the same ids in spills_; the release
   /// dedupes them.
   std::vector<SpillInfo> orphan_spills_ GUARDED_BY(state_mu_);
-  /// (range_begin, worker) for every reduce attempt that may have cached
-  /// that range's spills in the worker's oCache; ReleaseSpills evicts each
-  /// spill only where a reducer could have put it.
-  std::set<std::pair<HashKey, int>> ocache_holders_ GUARDED_BY(state_mu_);
   JobStats stats_;            // driver-thread only (outcomes are collected on
                               // the submitting thread, never on pool threads)
 };

@@ -112,7 +112,9 @@ struct JobSpec {
   /// Cache input blocks in iCache on read (paper: implicit input caching).
   bool cache_input = true;
 
-  /// Cache intermediate spills in the reducer-side oCache on first read.
+  /// Cache a tagged job's intermediate spills in the reducer-side oCache on
+  /// first read. Untagged spills are private to their job and deleted when
+  /// it returns, so they are never cached.
   bool cache_intermediates = true;
 
   /// Non-empty: tag intermediate results for cross-job reuse (§II-B oCache).

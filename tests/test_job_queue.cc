@@ -18,6 +18,7 @@
 #include "apps/wordcount.h"
 #include "common/rng.h"
 #include "mr/cluster.h"
+#include "obs/trace.h"
 #include "workload/generators.h"
 
 namespace eclipse {
@@ -350,12 +351,10 @@ TEST(JobQueue, DestructionWithInFlightJobs) {
   }
 }
 
-// Per-user weighted sharing end to end: two users' jobs run concurrently
-// and both finish correctly with per-user accounting drained to zero.
 TEST(JobQueue, FinishedJobsReleaseTheirSpills) {
   // An untagged job's spills are private to its job id: once it returns,
-  // nothing can read them. Every exit frees them — here, success — from the
-  // DHT FS and from the oCache the reducers read them through.
+  // nothing can read them. Every exit frees them from the DHT FS — here,
+  // success — and none of them ever enters a reducer's oCache.
   mr::ClusterOptions opts;
   opts.num_servers = 4;
   opts.block_size = 1_KiB;
@@ -414,10 +413,25 @@ TEST(JobQueue, FailedJobReleasesItsSpills) {
     };
     return std::unique_ptr<mr::Mapper>(new Stalling());
   };
+  auto& tracer = obs::Tracer::Global();
+  tracer.Start();
   mr::JobResult r = cluster.Run(job);
+  tracer.Stop();
   // The late spill push surfaces as a failed put (no replica accepted it).
   ASSERT_FALSE(r.status.ok());
   ASSERT_NE(r.status.code(), ErrorCode::kCancelled) << r.status.ToString();
+  // Every block has more than one record, so every map attempt stalls past
+  // its deadline: each spill the release deleted came from the orphan
+  // ledger, and without one the test would show nothing.
+  std::uint64_t released = 0;
+  for (const auto& e : tracer.Snapshot()) {
+    if (e.phase != 'i' || std::string(e.name) != "spill_release") continue;
+    for (std::uint8_t a = 0; a < e.nargs; ++a) {
+      if (std::string(e.args[a].key) == "spills_deleted") released += e.args[a].uval;
+    }
+  }
+  tracer.Clear();
+  EXPECT_GT(released, 0u) << "no attempt pushed a spill before failing";
   EXPECT_EQ(BlockCounts(cluster), baseline) << "the failed job left spills in the DHT FS";
   ExpectNoJobResidue(cluster, r.job_id);
   ExpectAllSlotsFree(cluster);
@@ -450,6 +464,8 @@ TEST(JobQueue, TaggedSpillsOutliveTheirJobForReuse) {
   EXPECT_EQ(BlockCounts(cluster), after_first);
 }
 
+// Per-user weighted sharing end to end: two users' jobs run concurrently
+// and both finish correctly with per-user accounting drained to zero.
 TEST(JobQueue, PerUserJobsShareCluster) {
   mr::ClusterOptions opts;
   opts.num_servers = 4;

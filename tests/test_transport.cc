@@ -92,20 +92,26 @@ TEST(ErrorMessageTest, RoundTrip) {
 TEST(WritevFull, ClosedPeerFailsWithoutSigpipe) {
   // Writing to a socket whose peer has closed raises SIGPIPE unless the
   // send says otherwise; the default action kills the process. WritevFull
-  // must report the failure instead. SIGPIPE keeps its default disposition
-  // here, so a regression ends this test binary.
-  struct sigaction current {};
-  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &current), 0);
-  ASSERT_EQ(current.sa_handler, SIG_DFL) << "the test needs SIGPIPE's default action";
+  // must report the failure instead. SIGPIPE gets its default action for
+  // the write, whatever the launcher left it at, so a regression ends this
+  // test binary.
+  struct sigaction dfl {};
+  dfl.sa_handler = SIG_DFL;
+  ::sigemptyset(&dfl.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &dfl, &saved), 0);
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   ::close(fds[1]);
   std::string head = "header";
   std::string body(64 * 1024, 'x');
   iovec iov[2] = {{head.data(), head.size()}, {body.data(), body.size()}};
-  EXPECT_FALSE(net::WritevFull(fds[0], iov, 2, 1000));
-  EXPECT_EQ(errno, EPIPE);
+  const bool wrote = net::WritevFull(fds[0], iov, 2, 1000);
+  const int err = errno;
   ::close(fds[0]);
+  ::sigaction(SIGPIPE, &saved, nullptr);
+  EXPECT_FALSE(wrote);
+  EXPECT_EQ(err, EPIPE);
 }
 
 TEST(TcpTransport, LoopbackRoundTrip) {
