@@ -59,6 +59,7 @@ enum class Rank : int {
 
   // -- 400: job execution ---------------------------------------------------
   kJobRunnerState = 400,  // mr/job_runner.h   JobRunner::state_mu_
+  kAttemptSet = 410,      // mr/job_runner.cc  JobRunner::AttemptSet::mu_
 
   // -- 500: schedulers ------------------------------------------------------
   kLafScheduler = 500,    // sched/laf_scheduler.h    LafScheduler::mu_

@@ -23,6 +23,19 @@ Result<net::Message> DfsClient::CallOk(int to, const net::Message& m) {
   return resp;
 }
 
+bool DfsClient::PutReplicas(const dht::Ring& ring, HashKey key, std::size_t replication,
+                            const net::Message& put) {
+  const std::vector<int> targets = ring.Replicas(key, replication);
+  std::size_t ok_count = 0;
+  for (int server : targets) {
+    if (CallOk(server, put).ok()) ++ok_count;
+  }
+  if (ok_count > 0 && ok_count < targets.size()) {
+    under_replicated_writes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return ok_count > 0;
+}
+
 Status DfsClient::Upload(const std::string& name, const std::string& content) {
   return Upload(name, content, options_.default_block_size, /*public_read=*/true);
 }
@@ -64,11 +77,7 @@ Status DfsClient::Upload(const std::string& name, const std::string& content,
     w.PutU64(0);  // no TTL
     w.PutString(data);
     net::Message put{msg::kPutBlock, w.Take()};
-    std::size_t ok_count = 0;
-    for (int server : ring.Replicas(key, options_.replication)) {
-      if (CallOk(server, put).ok()) ++ok_count;
-    }
-    if (ok_count == 0) {
+    if (!PutReplicas(ring, key, options_.replication, put)) {
       return Status::Error(ErrorCode::kUnavailable,
                            "no replica accepted block " + std::to_string(i));
     }
@@ -77,11 +86,7 @@ Status DfsClient::Upload(const std::string& name, const std::string& content,
   BinaryWriter w;
   meta.Serialize(w);
   net::Message put{msg::kPutMetadata, w.Take()};
-  std::size_t ok_count = 0;
-  for (int server : ring.Replicas(meta.MetaKey(), options_.replication)) {
-    if (CallOk(server, put).ok()) ++ok_count;
-  }
-  if (ok_count == 0) {
+  if (!PutReplicas(ring, meta.MetaKey(), options_.replication, put)) {
     return Status::Error(ErrorCode::kUnavailable, "no replica accepted metadata");
   }
   return Status::Ok();
@@ -280,12 +285,9 @@ Status DfsClient::PutObject(const std::string& id, HashKey key, const std::strin
   w.PutU64(static_cast<std::uint64_t>(ttl.count()));
   w.PutString(data);
   net::Message put{msg::kPutBlock, w.Take()};
-  std::size_t ok_count = 0;
-  for (int server : ring.Replicas(key, replication)) {
-    if (CallOk(server, put).ok()) ++ok_count;
-  }
+  const bool stored = PutReplicas(ring, key, replication, put);
   BufferPool::Global().Release(std::move(put.payload));
-  if (ok_count == 0) return Status::Error(ErrorCode::kUnavailable, "no replica accepted " + id);
+  if (!stored) return Status::Error(ErrorCode::kUnavailable, "no replica accepted " + id);
   return Status::Ok();
 }
 

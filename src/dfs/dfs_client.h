@@ -8,6 +8,7 @@
 // and successor.
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,17 +109,27 @@ class DfsClient {
 
   const DfsClientOptions& options() const { return options_; }
 
+  /// Writes that succeeded although some of their replica targets refused
+  /// them (a ring smaller than `replication` has fewer targets, not a refusal).
+  std::uint64_t under_replicated_writes() const {
+    return under_replicated_writes_.load(std::memory_order_relaxed);
+  }
+
   /// The endpoint id this client calls from (a worker id, or an external
   /// client id).
   int self() const { return self_; }
 
  private:
   Result<net::Message> CallOk(int to, const net::Message& m);
+  /// Send `put` to every replica target of `key`; true when one accepted.
+  bool PutReplicas(const dht::Ring& ring, HashKey key, std::size_t replication,
+                   const net::Message& put);
 
   const int self_;
   net::Transport& transport_;
   RingProvider ring_;
   DfsClientOptions options_;
+  std::atomic<std::uint64_t> under_replicated_writes_{0};
 };
 
 }  // namespace eclipse::dfs

@@ -476,6 +476,12 @@ std::string Cluster::MetricsPrometheus() {
         .Set(static_cast<std::int64_t>(info.count));
   }
   metrics_.GetGauge("cluster.live_servers").Set(live);
+  std::uint64_t under_replicated = client_->under_replicated_writes();
+  for (WorkerServer* w : SnapshotWorkers(/*live_only=*/false)) {
+    under_replicated += w->dfs().under_replicated_writes();
+  }
+  metrics_.GetGauge("dfs.under_replicated_writes")
+      .Set(static_cast<std::int64_t>(under_replicated));
   std::string out = metrics_.RenderPrometheus();
   // Deployment mode: append the coordinator-owned socket internals
   // (net.accepted_connections, net.frames_dispatched, net.handler_threads,

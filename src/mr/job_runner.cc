@@ -4,10 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <thread>
 
 #include "common/log.h"
+#include "fault/straggler.h"
 #include "mr/record_reader.h"
 #include "net/retry.h"
 #include "obs/trace.h"
@@ -17,16 +21,20 @@ namespace {
 
 constexpr int kMaxAttemptsPerTask = 5;
 
-/// Poll interval of the speculative collection loops. Short enough that
-/// test-scale tasks (sub-millisecond) complete a wave without noticeable
-/// idle time, long enough not to spin.
-constexpr std::chrono::microseconds kSpecPollInterval{200};
-
 net::Deadline TaskDeadline(const JobSpec& spec) {
   return spec.task_deadline.count() > 0
              ? net::Deadline::After(std::chrono::duration_cast<std::chrono::microseconds>(
                    spec.task_deadline))
              : net::Deadline::Never();
+}
+
+fault::StragglerOptions StragglerOptionsOf(const JobSpec& spec) {
+  fault::StragglerOptions o;
+  o.percentile = spec.straggler_percentile;
+  o.multiplier = spec.straggler_multiplier;
+  o.min_completed = spec.speculation_min_completed;
+  o.deviation_multiplier = spec.straggler_deviation;
+  return o;
 }
 
 std::uint64_t ElapsedUs(std::chrono::steady_clock::time_point since,
@@ -232,9 +240,18 @@ JobResult JobRunner::Run() {
   return result;
 }
 
-Status JobRunner::RunReducePhase(std::vector<KV>* output) {
-  return spec_.speculative_execution ? RunReducePhaseSpeculative(output)
-                                     : RunReducePhaseSequential(output);
+bool JobRunner::Interrupted(WorkerServer& w, const std::atomic<bool>& cancel,
+                            Status* why) const {
+  if (w.dead()) {
+    *why = Status::Error(ErrorCode::kUnavailable, "worker died mid-task");
+  } else if (cancel.load(std::memory_order_relaxed)) {
+    *why = Status::Error(ErrorCode::kCancelled, "duplicate attempt lost the race");
+  } else if (JobCancelled()) {
+    *why = Status::Error(ErrorCode::kCancelled, "job cancelled mid-task");
+  } else {
+    return false;
+  }
+  return true;
 }
 
 void JobRunner::ReleaseSpills() {
@@ -266,279 +283,328 @@ void JobRunner::ReleaseSpills() {
        obs::U64("us", ElapsedUs(t0, std::chrono::steady_clock::now()))});
 }
 
-Status JobRunner::RunReducePhaseSequential(std::vector<KV>* output) {
-  obs::TraceSpan phase_span("mr", "reduce_phase", obs::kDriverPid,
-                            {obs::U64("job", job_id_)});
-  std::map<HashKey, std::vector<SpillInfo>> by_range;
-  {
-    MutexLock lock(state_mu_);
-    for (const auto& [id, info] : spills_) by_range[info.range_begin].push_back(info);
-  }
-
-  for (auto& [range_begin, group] : by_range) {
-    if (JobCancelled()) {
-      return Status::Error(ErrorCode::kCancelled, "job cancelled during reduce phase");
-    }
-    Bytes group_bytes = 0;
-    for (const auto& info : group) group_bytes += info.bytes;
-    ReduceOutcome outcome;
-    for (int attempt = 0; attempt < kMaxAttemptsPerTask; ++attempt) {
-      int target = cluster_.ring().Owner(range_begin);
-      if (target < 0) return Status::Error(ErrorCode::kUnavailable, "no servers left");
-      WorkerServer& w = cluster_.worker(target);
-      auto start = std::chrono::steady_clock::now();
-      auto fut = w.Submit([this, &w, &group] { return RunReduceTask(w, group); });
-      outcome = fut.get();
-      if (outcome.status.ok()) {
-        cluster_.predictor().Record(spec_.name, sched::PredictPhase::kReduce,
-                                    group_bytes,
-                                    ElapsedUs(start, std::chrono::steady_clock::now()));
-        break;
-      }
-
-      if (!outcome.missing_spills.empty()) {
-        // Re-run the producers with reuse disabled; their spills re-enter
-        // spills_ under the current range table. The caller rebuilds the
-        // reduce plan, so propagate NotFound after the re-run.
-        std::vector<BlockRef> rerun;
-        {
-          MutexLock lock(state_mu_);
-          for (const auto& id : outcome.missing_spills) {
-            auto it = spill_block_.find(id);
-            if (it != spill_block_.end()) rerun.push_back(it->second);
-          }
-        }
-        std::sort(rerun.begin(), rerun.end());
-        rerun.erase(std::unique(rerun.begin(), rerun.end()), rerun.end());
-        LOG_INFO << "reduce lost " << outcome.missing_spills.size() << " spills; re-running "
-                 << rerun.size() << " map tasks";
-        Status s = RunMapPhase(rerun, /*force_recompute=*/true);
-        return s.ok() ? outcome.status : s;
-      }
-      // Unavailable target: the ring has changed; next attempt re-resolves.
-    }
-    if (!outcome.status.ok()) return outcome.status;
-    ++stats_.reduce_tasks;
-    stats_.ocache_hits += outcome.ocache_hits;
-    stats_.ocache_misses += outcome.ocache_misses;
-    output->insert(output->end(), std::make_move_iterator(outcome.output.begin()),
-                   std::make_move_iterator(outcome.output.end()));
-  }
-  return Status::Ok();
-}
-
-Status JobRunner::RunReducePhaseSpeculative(std::vector<KV>* output) {
-  obs::TraceSpan phase_span("mr", "reduce_phase", obs::kDriverPid,
-                            {obs::U64("job", job_id_)});
-  std::map<HashKey, std::vector<SpillInfo>> by_range;
-  {
-    MutexLock lock(state_mu_);
-    for (const auto& [id, info] : spills_) by_range[info.range_begin].push_back(info);
-  }
+/// The task-attempt engine of both phases. Add() one task per block or range
+/// group, then Run(): one attempt per task is launched; a failed task is
+/// relaunched in place on a re-resolved server, up to kMaxAttemptsPerTask
+/// launches; with speculative_execution, a task whose running attempt
+/// crosses the StragglerDetector threshold gets one backup on another server
+/// (LATE-style). The first success wins: its sibling is cancelled and poked
+/// out of any slot wait, and its outcome dropped. The driver sleeps until an
+/// attempt completes or the next threshold crossing, never on a poll
+/// interval.
+///
+/// Each attempt publishes its outcome into its own slot, then the slot into
+/// done_, then signals the driver; outcomes, stats_, the predictor and the
+/// detector are touched by the driver thread alone. The destructor waits for
+/// every attempt's future, so no body outlives the set, or the JobRunner and
+/// plan it references, on any exit path.
+template <typename Outcome>
+class JobRunner::AttemptSet {
+ public:
+  struct Phase {
+    const char* name;  // "map" / "reduce": the speculation instants' `task` arg
+    sched::SlotKind kind;
+    sched::PredictPhase predict;
+    std::uint64_t JobStats::*speculated;  // backups launched
+    std::uint64_t JobStats::*retries;     // relaunches; null: not counted
+    /// Primary server for task `i`, asked again on every relaunch; -1 when
+    /// no server is left.
+    std::function<int(std::size_t i)> place;
+    /// The attempt body; runs on an executor thread holding a slot of `kind`.
+    std::function<Outcome(WorkerServer&, std::size_t i, const std::atomic<bool>& cancel)> run;
+  };
 
   struct Attempt {
+    std::size_t task = 0;
     int server = -1;
     bool backup = false;
-    bool done = false;
-    std::shared_ptr<std::atomic<bool>> cancel;
-    std::chrono::steady_clock::time_point start;
-    std::future<ReduceOutcome> fut;
+    bool collected = false;  // the driver has taken the outcome
+    std::shared_ptr<std::atomic<bool>> cancel = std::make_shared<std::atomic<bool>>(false);
+    std::chrono::steady_clock::time_point start, end;
+    Outcome outcome;  // written by the body before it signals
+    std::exception_ptr error;  // what user code threw, rethrown on the driver
+    std::future<void> fut;
   };
+
   struct Task {
-    HashKey range_begin = 0;
-    const std::vector<SpillInfo>* group = nullptr;  // node-stable: by_range is a std::map
-    Bytes group_bytes = 0;  // summed spill payload (predictor size bucket)
-    int tries = 0;          // primary (re)launches, counted against kMaxAttemptsPerTask
-    bool has_backup = false;
-    bool resolved = false;  // a successful outcome has been taken
-    bool concluded = false;  // no further launches for this task
-    ReduceOutcome outcome;  // the winner when resolved, else the last real failure
-    std::vector<Attempt> attempts;
+    obs::TraceArg label;  // names the task in instants and errors
+    Bytes bytes = 0;      // predictor size bucket
+    int launches = 0;     // primaries, counted against kMaxAttemptsPerTask
+    Attempt* primary = nullptr;  // the current generation's attempts
+    Attempt* backup = nullptr;
+    bool resolved = false;  // `outcome` is the winner's
+    Outcome outcome;        // the winner, else the most informative failure
   };
 
-  fault::StragglerOptions sopts;
-  sopts.percentile = spec_.straggler_percentile;
-  sopts.multiplier = spec_.straggler_multiplier;
-  sopts.min_completed = spec_.speculation_min_completed;
-  sopts.deviation_multiplier = spec_.straggler_deviation;
-  fault::StragglerDetector detector(sopts);
-  std::vector<Task> tasks;  // std::map iteration order == ascending range order
-  tasks.reserve(by_range.size());
-  Bytes total_group_bytes = 0;
-  for (auto& [range_begin, group] : by_range) {
-    Task t;
-    t.range_begin = range_begin;
-    t.group = &group;
-    for (const auto& info : group) t.group_bytes += info.bytes;
-    total_group_bytes += t.group_bytes;
-    tasks.push_back(std::move(t));
-  }
-  if (spec_.predictor_speculation && !tasks.empty()) {
-    // Deviation mode for reduces: anchor at the predicted duration of an
-    // average-sized spill group from this job name's history.
-    if (auto p = cluster_.predictor().Predict(spec_.name, sched::PredictPhase::kReduce,
-                                              total_group_bytes / tasks.size())) {
-      detector.SetPredictedUs(p->mean_us);
-    }
+  AttemptSet(JobRunner& runner, Phase phase)
+      : runner_(runner),
+        phase_(std::move(phase)),
+        speculate_(runner.spec_.speculative_execution),
+        detector_(StragglerOptionsOf(runner.spec_)) {}
+
+  ~AttemptSet() {
+    for (Attempt& a : attempts_) a.fut.wait();
   }
 
-  Status fatal = Status::Ok();
-  auto launch = [&](Task& t, int server, bool backup) {
-    Attempt a;
+  AttemptSet(const AttemptSet&) = delete;
+  AttemptSet& operator=(const AttemptSet&) = delete;
+
+  void Add(obs::TraceArg label, Bytes bytes) {
+    Task& t = tasks_.emplace_back();
+    t.label = label;
+    t.bytes = bytes;
+    total_bytes_ += bytes;
+  }
+
+  /// Runs every task to a winner or a fatal failure and joins every
+  /// attempt. Returns the first fatal status. A reduce whose spills are lost
+  /// is not retried: it ends unresolved with its `missing_spills`.
+  Status Run() {
+    if (speculate_ && runner_.spec_.predictor_speculation && !tasks_.empty()) {
+      // Deviation mode: anchor the threshold at an average task's predicted
+      // duration from earlier jobs of this name, so even the first attempts
+      // of a warm job can be caught. Cold predictor: percentile fallback.
+      if (auto p = runner_.cluster_.predictor().Predict(runner_.spec_.name, phase_.predict,
+                                                        total_bytes_ / tasks_.size())) {
+        detector_.SetPredictedUs(p->mean_us);
+      }
+    }
+    for (std::size_t i = 0; i < tasks_.size() && fatal_.ok(); ++i) LaunchPrimary(i);
+    auto wake = LaunchBackups();  // deviation mode may already have a threshold
+    while (running_ > 0) {
+      {
+        MutexLock lock(mu_);
+        while (done_.empty()) {
+          if (wake == std::chrono::steady_clock::time_point::max()) {
+            cv_.wait(lock);
+          } else if (cv_.wait_until(lock, wake) == std::cv_status::timeout) {
+            break;
+          }
+        }
+        collecting_.swap(done_);
+      }
+      for (Attempt* a : collecting_) Collect(*a);
+      collecting_.clear();
+      wake = LaunchBackups();
+    }
+    return fatal_;
+  }
+
+  std::vector<Task>& tasks() { return tasks_; }
+
+ private:
+  static bool Skipped(const MapOutcome& o) { return o.skipped; }
+  static bool Skipped(const ReduceOutcome&) { return false; }
+  static bool LostSpills(const MapOutcome&) { return false; }
+  static bool LostSpills(const ReduceOutcome& o) { return !o.missing_spills.empty(); }
+  static bool Live(const Attempt* a) { return a != nullptr && !a->collected; }
+
+  void LaunchPrimary(std::size_t i) {
+    int server = phase_.place(i);
+    if (server < 0) return Fail(Status::Error(ErrorCode::kUnavailable, "no servers left"));
+    Task& t = tasks_[i];
+    ++t.launches;
+    t.primary = &Launch(i, server, /*backup=*/false);
+    t.backup = nullptr;
+  }
+
+  Attempt& Launch(std::size_t i, int server, bool backup) {
+    Attempt& a = attempts_.emplace_back();
+    a.task = i;
     a.server = server;
     a.backup = backup;
-    a.cancel = std::make_shared<std::atomic<bool>>(false);
     a.start = std::chrono::steady_clock::now();
-    WorkerServer& w = cluster_.worker(server);
-    const std::vector<SpillInfo>* group = t.group;
-    auto cancel = a.cancel;
-    a.fut = w.Submit([this, &w, group, cancel] { return RunReduceTask(w, *group, cancel); },
-                     a.cancel);
-    t.attempts.push_back(std::move(a));
-  };
-
-  for (auto& t : tasks) {
-    int target = fatal.ok() ? cluster_.ring().Owner(t.range_begin) : -1;
-    if (target < 0) {
-      if (fatal.ok()) fatal = Status::Error(ErrorCode::kUnavailable, "no servers left");
-      t.concluded = true;
-      continue;
-    }
-    ++t.tries;
-    launch(t, target, /*backup=*/false);
-  }
-
-  // Drain every attempt before returning anything — outstanding futures
-  // reference this JobRunner and the group vectors. Losers get their cancel
-  // token set the moment a sibling wins, so the join is short.
-  for (;;) {
-    bool all_done = true;
-    bool progress = false;
-    auto now = std::chrono::steady_clock::now();
-    for (auto& t : tasks) {
-      bool attempts_done = true;
-      for (auto& a : t.attempts) {
-        if (a.done) continue;
-        if (a.fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-          attempts_done = false;
-          continue;
-        }
-        a.done = true;
-        progress = true;
-        ReduceOutcome o = a.fut.get();
-        if (o.status.ok() && !t.resolved) {
-          t.resolved = true;
-          detector.Record(ElapsedUs(a.start, now));
-          cluster_.predictor().Record(spec_.name, sched::PredictPhase::kReduce,
-                                      t.group_bytes, ElapsedUs(a.start, now));
-          if (a.backup) {
-            ++stats_.speculative_wins;
-            obs::Tracer::Global().Emit(
-                'i', "mr", "speculative_win", obs::kDriverPid,
-                {obs::Str("task", "reduce"),
-                 obs::U64("server", static_cast<std::uint64_t>(a.server))});
-          }
-          bool flipped = false;
-          for (auto& other : t.attempts) {
-            if (!other.done && other.cancel) {
-              other.cancel->store(true);
-              flipped = true;
+    ++running_;
+    WorkerServer& w = runner_.cluster_.worker(server);
+    a.fut = w.Submit(
+        [this, &w, &a] {
+          // The shared slot gate: block here (not in the executor queue)
+          // until this job's fair share of the worker's slots admits the
+          // attempt. The wait aborts on job cancellation, attempt
+          // cancellation, or worker removal — each surfaces as the matching
+          // task status.
+          sched::SlotArbiter& arbiter = runner_.cluster_.arbiter();
+          Status slot = arbiter.Acquire(w.id(), phase_.kind, runner_.user_,
+                                        runner_.cancel_.get(), a.cancel.get());
+          if (slot.ok()) {
+            SlotLease lease{arbiter, w.id(), phase_.kind, runner_.user_};
+            // Every RPC this attempt makes (cache fetches, DHT-FS reads,
+            // spill pushes) sees this cutoff through CurrentDeadline().
+            net::ScopedDeadline deadline(TaskDeadline(runner_.spec_));
+            try {
+              a.outcome = phase_.run(w, a.task, *a.cancel);
+            } catch (...) {
+              a.error = std::current_exception();  // user code threw
             }
-          }
-          // Targeted arbiter wakeups mean nobody re-checks tokens on an
-          // unrelated release: a loser blocked in Acquire must be poked.
-          if (flipped) cluster_.arbiter().Poke();
-          t.outcome = std::move(o);
-        } else if (!t.resolved) {
-          // Remember the most informative failure: a kCancelled from a loser
-          // never shadows a real error.
-          if (o.status.code() != ErrorCode::kCancelled || t.outcome.status.ok()) {
-            t.outcome = std::move(o);
-          }
-        }
-      }
-      if (!attempts_done) {
-        all_done = false;
-      } else if (!t.concluded) {
-        if (t.resolved || !fatal.ok()) {
-          t.concluded = true;
-        } else if (!t.outcome.missing_spills.empty()) {
-          t.concluded = true;  // producers re-run after the drain
-        } else if (t.outcome.status.code() == ErrorCode::kCancelled && JobCancelled()) {
-          // Job-level cancellation is terminal — never relaunched.
-          fatal = t.outcome.status;
-          t.concluded = true;
-        } else if (t.tries >= kMaxAttemptsPerTask) {
-          fatal = t.outcome.status;
-          t.concluded = true;
-        } else {
-          // Unavailable target: the ring has changed; re-resolve the owner.
-          int target = cluster_.ring().Owner(t.range_begin);
-          if (target < 0) {
-            fatal = Status::Error(ErrorCode::kUnavailable, "no servers left");
-            t.concluded = true;
           } else {
-            ++t.tries;
-            t.has_backup = false;
-            launch(t, target, /*backup=*/false);
-            all_done = false;
+            a.outcome.status = slot;
           }
-        }
-      }
-      // LATE-style speculation: one backup per running attempt generation,
-      // placed on a different live server, triggered when the attempt's
-      // elapsed time exceeds the completed-duration percentile threshold.
-      if (!t.concluded && !t.resolved && !t.has_backup && !t.attempts.empty()) {
-        Attempt& running = t.attempts.back();
-        if (!running.done && detector.IsStraggler(ElapsedUs(running.start, now))) {
-          int backup = PickBackupServer(running.server, sched::SlotKind::kReduce);
-          if (backup >= 0) {
-            t.has_backup = true;
-            ++stats_.reduces_speculated;
-            obs::Tracer::Global().Emit(
-                'i', "mr", "speculate", obs::kDriverPid,
-                {obs::Str("task", "reduce"),
-                 obs::U64("server", static_cast<std::uint64_t>(backup))});
-            launch(t, backup, /*backup=*/true);
-            all_done = false;
+          a.end = std::chrono::steady_clock::now();
+          {
+            MutexLock lock(mu_);
+            done_.push_back(&a);
           }
-        }
-      }
-    }
-    if (all_done) break;
-    if (!progress) std::this_thread::sleep_for(kSpecPollInterval);
+          cv_.notify_one();
+        },
+        a.cancel);
+    return a;
   }
 
-  if (!fatal.ok()) return fatal;
+  void Collect(Attempt& a) {
+    a.collected = true;
+    --running_;
+    if (a.error) {
+      Fail(Status::Error(ErrorCode::kInternal, "task attempt threw"));  // stop the rest
+      std::rethrow_exception(a.error);  // the destructor still drains
+    }
+    Task& t = tasks_[a.task];
+    if (t.resolved) return;  // a loser: the winner's outcome stands
+    if (a.outcome.status.ok()) {
+      t.resolved = true;
+      const std::uint64_t us = ElapsedUs(a.start, a.end);
+      detector_.Record(us);
+      if (!Skipped(a.outcome)) {
+        runner_.cluster_.predictor().Record(runner_.spec_.name, phase_.predict, t.bytes, us);
+      }
+      if (a.backup) {
+        ++runner_.stats_.speculative_wins;
+        Instant("speculative_win", t, a.server);
+      }
+      t.outcome = std::move(a.outcome);
+      if (Cancel(&a == t.primary ? t.backup : t.primary)) runner_.cluster_.arbiter().Poke();
+      return;
+    }
+    // A kCancelled from a loser never shadows a real error.
+    if (a.outcome.status.code() != ErrorCode::kCancelled || t.outcome.status.ok()) {
+      t.outcome = std::move(a.outcome);
+    }
+    if (Live(t.primary) || Live(t.backup) || !fatal_.ok() || LostSpills(t.outcome)) return;
+    const Status& failure = t.outcome.status;
+    if (runner_.JobCancelled()) {
+      // Job-level cancellation is terminal, not retried.
+      Fail(Status::Error(ErrorCode::kCancelled, "job cancelled"));
+    } else if (t.launches >= kMaxAttemptsPerTask) {
+      Fail(Status::Error(failure.code(), std::string(phase_.name) + " task " + t.label.key +
+                                             " " + std::to_string(t.label.uval) +
+                                             " failed repeatedly: " + failure.message()));
+    } else {
+      if (phase_.retries != nullptr) ++(runner_.stats_.*phase_.retries);
+      LaunchPrimary(a.task);  // the ring may have changed: re-resolve
+    }
+  }
 
-  // Lost-spill handling mirrors the sequential phase: re-run the producers
-  // of every missing spill (union across tasks) with reuse disabled, then
-  // hand NotFound back so the caller rebuilds the whole reduce plan.
-  Status missing_status = Status::Ok();
-  std::vector<BlockRef> rerun;
-  std::size_t missing_count = 0;
+  /// Backs up every task whose running primary crossed the straggler
+  /// threshold; returns when the next one will.
+  std::chrono::steady_clock::time_point LaunchBackups() {
+    auto wake = std::chrono::steady_clock::time_point::max();
+    const std::uint64_t threshold = detector_.ThresholdUs();
+    if (!speculate_ || !fatal_.ok() || threshold == 0) return wake;
+    const auto now = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      Task& t = tasks_[i];
+      if (t.resolved || !Live(t.primary) || t.backup != nullptr) continue;
+      if (!detector_.IsStraggler(ElapsedUs(t.primary->start, now))) {
+        wake = std::min(wake, t.primary->start + std::chrono::microseconds(threshold + 1));
+        continue;
+      }
+      int server = runner_.PickBackupServer(t.primary->server, phase_.kind);
+      if (server < 0) continue;  // no other live server; the next wake re-checks
+      ++(runner_.stats_.*phase_.speculated);
+      Instant("speculate", t, server);
+      t.backup = &Launch(i, server, /*backup=*/true);
+    }
+    return wake;
+  }
+
+  void Fail(Status s) {
+    if (!fatal_.ok()) return;
+    fatal_ = std::move(s);
+    bool flipped = false;
+    for (Task& t : tasks_) {
+      flipped |= Cancel(t.primary);
+      flipped |= Cancel(t.backup);
+    }
+    if (flipped) runner_.cluster_.arbiter().Poke();
+  }
+
+  /// Flips a live attempt's token; true if it did. Targeted arbiter wakeups
+  /// mean nobody re-checks tokens on an unrelated release, so the caller
+  /// pokes the arbiter for any attempt blocked in Acquire.
+  static bool Cancel(Attempt* a) { return Live(a) && !a->cancel->exchange(true); }
+
+  void Instant(const char* name, const Task& t, int server) {
+    obs::Tracer::Global().Emit('i', "mr", name, obs::kDriverPid,
+                               {obs::Str("task", phase_.name), t.label,
+                                obs::U64("server", static_cast<std::uint64_t>(server))});
+  }
+
+  JobRunner& runner_;
+  const Phase phase_;
+  const bool speculate_;
+  fault::StragglerDetector detector_;
+  std::vector<Task> tasks_;
+  Bytes total_bytes_ = 0;
+  std::deque<Attempt> attempts_;  // stable slots: bodies write through &a
+  std::size_t running_ = 0;       // launched, not yet collected
+  Status fatal_ = Status::Ok();
+  std::vector<Attempt*> collecting_;  // driver-side swap partner of done_
+
+  Mutex mu_{Rank::kAttemptSet, "JobRunner::AttemptSet::mu_"};
+  CondVar cv_;
+  std::vector<Attempt*> done_ GUARDED_BY(mu_);  // published, not yet collected
+};
+
+Status JobRunner::RunReducePhase(std::vector<KV>* output) {
+  obs::TraceSpan phase_span("mr", "reduce_phase", obs::kDriverPid,
+                            {obs::U64("job", job_id_)});
+  std::map<HashKey, std::vector<SpillInfo>> by_range;
   {
     MutexLock lock(state_mu_);
-    for (const auto& t : tasks) {
-      if (t.resolved || t.outcome.missing_spills.empty()) continue;
-      missing_status = t.outcome.status;
-      missing_count += t.outcome.missing_spills.size();
+    for (const auto& [id, info] : spills_) by_range[info.range_begin].push_back(info);
+  }
+  // Ascending range order: the output is concatenated in task order.
+  std::vector<std::pair<HashKey, std::vector<SpillInfo>>> groups(
+      std::make_move_iterator(by_range.begin()), std::make_move_iterator(by_range.end()));
+
+  AttemptSet<ReduceOutcome> set(
+      *this, {"reduce", sched::SlotKind::kReduce, sched::PredictPhase::kReduce,
+              &JobStats::reduces_speculated, nullptr,
+              [&](std::size_t i) { return cluster_.ring().Owner(groups[i].first); },
+              [this, &groups](WorkerServer& w, std::size_t i, const auto& cancel) {
+                return RunReduceTask(w, groups[i].second, cancel);
+              }});
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    Bytes bytes = 0;
+    for (const auto& info : groups[i].second) bytes += info.bytes;
+    set.Add(obs::U64("group", i), bytes);
+  }
+  if (Status s = set.Run(); !s.ok()) return s;
+
+  // Spills that died with their server (intermediates are not replicated by
+  // default, §II-C): re-run the producers of every lost spill at once with
+  // reuse disabled, then hand NotFound back so Run rebuilds the whole plan.
+  std::vector<BlockRef> rerun;
+  std::size_t lost = 0;
+  {
+    MutexLock lock(state_mu_);
+    for (const auto& t : set.tasks()) {
+      lost += t.outcome.missing_spills.size();
       for (const auto& id : t.outcome.missing_spills) {
         auto it = spill_block_.find(id);
         if (it != spill_block_.end()) rerun.push_back(it->second);
       }
     }
   }
-  if (!missing_status.ok()) {
+  if (lost > 0) {
     std::sort(rerun.begin(), rerun.end());
     rerun.erase(std::unique(rerun.begin(), rerun.end()), rerun.end());
-    LOG_INFO << "reduce lost " << missing_count << " spills; re-running " << rerun.size()
+    LOG_INFO << "reduce lost " << lost << " spills; re-running " << rerun.size()
              << " map tasks";
     Status s = RunMapPhase(rerun, /*force_recompute=*/true);
-    return s.ok() ? missing_status : s;
+    return s.ok() ? Status::Error(ErrorCode::kNotFound, "spills lost with their server") : s;
   }
 
-  for (auto& t : tasks) {  // ascending range order: deterministic output
+  for (auto& t : set.tasks()) {
     ++stats_.reduce_tasks;
     stats_.ocache_hits += t.outcome.ocache_hits;
     stats_.ocache_misses += t.outcome.ocache_misses;
@@ -550,248 +616,85 @@ Status JobRunner::RunReducePhaseSpeculative(std::vector<KV>* output) {
 
 Status JobRunner::RunMapPhase(const std::vector<BlockRef>& blocks,
                               bool force_recompute) {
-  struct Pending {
-    BlockRef ref;
-    int attempts = 0;
-  };
-  std::vector<Pending> queue;
-  queue.reserve(blocks.size());
-  for (auto b : blocks) queue.push_back(Pending{b, 0});
+  obs::TraceSpan phase_span("mr", "map_phase", obs::kDriverPid,
+                            {obs::U64("tasks", blocks.size()), obs::U64("job", job_id_)});
+  AttemptSet<MapOutcome> set(
+      *this,
+      {"map", sched::SlotKind::kMap, sched::PredictPhase::kMap, &JobStats::maps_speculated,
+       &JobStats::map_retries,
+       [&](std::size_t i) {
+         const BlockRef& ref = blocks[i];
+         int server = PickMapServer(metas_[ref.file].KeyOfBlock(ref.block));
+         if (server >= 0) {
+           obs::Tracer::Global().Emit('i', "sched", "sched_assign", obs::kDriverPid,
+                                      {obs::U64("block", ref.block),
+                                       obs::U64("server", static_cast<std::uint64_t>(server)),
+                                       obs::U64("job", job_id_)});
+         }
+         return server;
+       },
+       [this, &blocks, force_recompute](WorkerServer& w, std::size_t i, const auto& cancel) {
+         MapOutcome o = RunMapTask(w, blocks[i], force_recompute, cancel);
+         if (!o.status.ok() && !o.spills.empty()) {
+           // A failed or cancelled attempt may have pushed partial spills
+           // before it stopped: ledger them so ReleaseSpills sees every orphan.
+           MutexLock lock(state_mu_);
+           for (auto& info : o.spills) orphan_spills_.push_back(std::move(info));
+         }
+         return o;
+       }});
+  // One block per task: the size bucket completions are recorded under.
+  for (const BlockRef& ref : blocks) {
+    set.Add(obs::U64("block", ref.block), cluster_.options().block_size);
+  }
+  Status status = set.Run();
 
-  const bool speculate = spec_.speculative_execution;
-  // Persists across waves: retry waves inherit the duration population.
-  fault::StragglerOptions sopts;
-  sopts.percentile = spec_.straggler_percentile;
-  sopts.multiplier = spec_.straggler_multiplier;
-  sopts.min_completed = spec_.speculation_min_completed;
-  sopts.deviation_multiplier = spec_.straggler_deviation;
-  fault::StragglerDetector detector(sopts);
-  // Typical per-task input: one block. Drives both the deviation-mode
-  // anchor (below) and the size bucket completions are recorded under.
-  const Bytes map_task_bytes = cluster_.options().block_size;
-  if (speculate && spec_.predictor_speculation) {
-    // Deviation mode: anchor the threshold at history from previous jobs of
-    // this name, so even the first wave of a warm job can be caught. Cold
-    // predictor → no SetPredictedUs → percentile fallback.
-    if (auto p = cluster_.predictor().Predict(spec_.name, sched::PredictPhase::kMap,
-                                              map_task_bytes)) {
-      detector.SetPredictedUs(p->mean_us);
+  // Commit every winner, also when the phase failed: its spills must reach
+  // spills_ for ReleaseSpills to delete them.
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    auto& t = set.tasks()[i];
+    if (!t.resolved) continue;
+    MapOutcome& outcome = t.outcome;
+    ++stats_.map_tasks;
+    if (outcome.skipped) ++stats_.maps_skipped;
+    if (outcome.icache_hit) {
+      ++stats_.icache_hits;
+    } else if (!outcome.skipped) {
+      ++stats_.icache_misses;
+    }
+    if (std::strcmp(outcome.locality, "memory") == 0) {
+      ++stats_.maps_memory;
+    } else if (std::strcmp(outcome.locality, "local_disk") == 0) {
+      ++stats_.maps_local_disk;
+    } else if (std::strcmp(outcome.locality, "remote_disk") == 0) {
+      ++stats_.maps_remote_disk;
+    }
+    MutexLock lock(state_mu_);
+    if (force_recompute) {
+      // Drop the block's previous (possibly manifest-derived, possibly
+      // stale-range) spills: the fresh execution is authoritative.
+      // The dropped entries go to the orphan ledger, so ReleaseSpills
+      // still deletes any copy that outlived the failure.
+      for (auto it = spill_block_.begin(); it != spill_block_.end();) {
+        if (it->second == blocks[i]) {
+          if (auto sp = spills_.find(it->first); sp != spills_.end()) {
+            orphan_spills_.push_back(std::move(sp->second));
+            spills_.erase(sp);
+          }
+          it = spill_block_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (auto& info : outcome.spills) {
+      stats_.bytes_spilled += info.bytes;
+      ++stats_.spills;
+      spill_block_[info.id] = blocks[i];
+      spills_[info.id] = std::move(info);
     }
   }
-
-  while (!queue.empty()) {
-    if (JobCancelled()) {
-      return Status::Error(ErrorCode::kCancelled, "job cancelled during map phase");
-    }
-    obs::TraceSpan wave_span("mr", "map_phase", obs::kDriverPid,
-                             {obs::U64("tasks", queue.size()), obs::U64("job", job_id_)});
-    struct Attempt {
-      int server = -1;
-      bool backup = false;
-      bool done = false;
-      std::shared_ptr<std::atomic<bool>> cancel;  // null when speculation is off
-      std::chrono::steady_clock::time_point start;
-      std::future<MapOutcome> fut;
-    };
-    struct Task {
-      BlockRef ref;
-      int prior_attempts = 0;
-      bool resolved = false;  // a successful outcome has been taken
-      MapOutcome outcome;     // the winner when resolved, else the last real failure
-      std::vector<Attempt> attempts;
-    };
-
-    auto launch = [&](Task& t, int server, bool backup) {
-      Attempt a;
-      a.server = server;
-      a.backup = backup;
-      a.cancel = speculate ? std::make_shared<std::atomic<bool>>(false) : nullptr;
-      a.start = std::chrono::steady_clock::now();
-      WorkerServer& w = cluster_.worker(server);
-      BlockRef ref = t.ref;
-      auto cancel = a.cancel;
-      a.fut = w.Submit(
-          [this, &w, ref, force_recompute, cancel] {
-            return RunMapTask(w, ref, force_recompute, cancel);
-          },
-          a.cancel);
-      t.attempts.push_back(std::move(a));
-    };
-
-    std::vector<Task> tasks;
-    tasks.reserve(queue.size());
-    Status dispatch_error = Status::Ok();
-    for (auto& p : queue) {
-      HashKey hkey = metas_[p.ref.file].KeyOfBlock(p.ref.block);
-      int server = PickMapServer(hkey);
-      if (server < 0) {
-        // Drain the attempts already dispatched before reporting — they
-        // reference this JobRunner.
-        dispatch_error = Status::Error(ErrorCode::kUnavailable, "no servers left");
-        break;
-      }
-      obs::Tracer::Global().Emit('i', "sched", "sched_assign", obs::kDriverPid,
-                                 {obs::U64("block", p.ref.block),
-                                  obs::U64("server", static_cast<std::uint64_t>(server)),
-                                  obs::U64("job", job_id_)});
-      Task t;
-      t.ref = p.ref;
-      t.prior_attempts = p.attempts;
-      tasks.push_back(std::move(t));
-      launch(tasks.back(), server, /*backup=*/false);
-    }
-    queue.clear();
-
-    if (!speculate) {
-      for (auto& t : tasks) {
-        t.outcome = t.attempts[0].fut.get();
-        t.attempts[0].done = true;
-        t.resolved = t.outcome.status.ok();
-        if (t.resolved && !t.outcome.skipped) {
-          cluster_.predictor().Record(
-              spec_.name, sched::PredictPhase::kMap, map_task_bytes,
-              ElapsedUs(t.attempts[0].start, std::chrono::steady_clock::now()));
-        }
-      }
-    } else {
-      // Poll until every attempt (originals and backups) has been joined;
-      // launch at most one backup per straggling task, first completion wins.
-      for (;;) {
-        bool all_done = true;
-        bool progress = false;
-        auto now = std::chrono::steady_clock::now();
-        for (auto& t : tasks) {
-          for (auto& a : t.attempts) {
-            if (a.done) continue;
-            if (a.fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-              all_done = false;
-              continue;
-            }
-            a.done = true;
-            progress = true;
-            MapOutcome o = a.fut.get();
-            if (o.status.ok() && !t.resolved) {
-              t.resolved = true;
-              detector.Record(ElapsedUs(a.start, now));
-              if (!o.skipped) {
-                cluster_.predictor().Record(spec_.name, sched::PredictPhase::kMap,
-                                            map_task_bytes, ElapsedUs(a.start, now));
-              }
-              if (a.backup) {
-                ++stats_.speculative_wins;
-                obs::Tracer::Global().Emit(
-                    'i', "mr", "speculative_win", obs::kDriverPid,
-                    {obs::Str("task", "map"), obs::U64("block", t.ref.block),
-                     obs::U64("server", static_cast<std::uint64_t>(a.server))});
-              }
-              bool flipped = false;
-              for (auto& other : t.attempts) {
-                if (!other.done && other.cancel) {
-                  other.cancel->store(true);
-                  flipped = true;
-                }
-              }
-              // See the reduce phase: losers blocked in Acquire need a poke
-              // now that releases signal only their own grantee.
-              if (flipped) cluster_.arbiter().Poke();
-              t.outcome = std::move(o);
-            } else if (!t.resolved) {
-              // A kCancelled from a loser never shadows a real error.
-              if (o.status.code() != ErrorCode::kCancelled || t.outcome.status.ok()) {
-                t.outcome = std::move(o);
-              }
-            }
-          }
-          if (!t.resolved && t.attempts.size() == 1 && !t.attempts[0].done &&
-              detector.IsStraggler(ElapsedUs(t.attempts[0].start, now))) {
-            int backup = PickBackupServer(t.attempts[0].server, sched::SlotKind::kMap);
-            if (backup >= 0) {
-              ++stats_.maps_speculated;
-              obs::Tracer::Global().Emit(
-                  'i', "mr", "speculate", obs::kDriverPid,
-                  {obs::Str("task", "map"), obs::U64("block", t.ref.block),
-                   obs::U64("server", static_cast<std::uint64_t>(backup))});
-              launch(t, backup, /*backup=*/true);
-              all_done = false;
-            }
-          }
-        }
-        if (all_done) break;
-        if (!progress) std::this_thread::sleep_for(kSpecPollInterval);
-      }
-    }
-
-    if (!dispatch_error.ok()) return dispatch_error;
-
-    {
-      // Failed attempts may have pushed partial spills into the DHT FS
-      // before they stopped; ledger them all *before* the loop below can
-      // return on the first cancelled task, so cancellation cleanup sees
-      // every orphan.
-      MutexLock lock(state_mu_);
-      for (auto& t : tasks) {
-        if (t.resolved) continue;
-        for (auto& info : t.outcome.spills) orphan_spills_.push_back(std::move(info));
-      }
-    }
-    for (auto& t : tasks) {
-      if (!t.resolved) {
-        const Status& failure = t.outcome.status;
-        if (failure.code() == ErrorCode::kCancelled && JobCancelled()) {
-          return failure;  // job-level cancellation is terminal, not retried
-        }
-        if (t.prior_attempts + 1 >= kMaxAttemptsPerTask) {
-          return Status::Error(failure.code(),
-                               "map task for block " + std::to_string(t.ref.block) +
-                                   " of input " + std::to_string(t.ref.file) +
-                                   " failed repeatedly: " + failure.message());
-        }
-        ++stats_.map_retries;
-        queue.push_back(Pending{t.ref, t.prior_attempts + 1});
-        continue;
-      }
-      MapOutcome& outcome = t.outcome;
-      ++stats_.map_tasks;
-      if (outcome.skipped) ++stats_.maps_skipped;
-      if (outcome.icache_hit) {
-        ++stats_.icache_hits;
-      } else if (!outcome.skipped) {
-        ++stats_.icache_misses;
-      }
-      if (std::strcmp(outcome.locality, "memory") == 0) {
-        ++stats_.maps_memory;
-      } else if (std::strcmp(outcome.locality, "local_disk") == 0) {
-        ++stats_.maps_local_disk;
-      } else if (std::strcmp(outcome.locality, "remote_disk") == 0) {
-        ++stats_.maps_remote_disk;
-      }
-      MutexLock lock(state_mu_);
-      if (force_recompute) {
-        // Drop the block's previous (possibly manifest-derived, possibly
-        // stale-range) spills: the fresh execution is authoritative.
-        // The dropped entries go to the orphan ledger, so ReleaseSpills
-        // still deletes any copy that outlived the failure.
-        for (auto it = spill_block_.begin(); it != spill_block_.end();) {
-          if (it->second == t.ref) {
-            if (auto sp = spills_.find(it->first); sp != spills_.end()) {
-              orphan_spills_.push_back(std::move(sp->second));
-              spills_.erase(sp);
-            }
-            it = spill_block_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      for (auto& info : outcome.spills) {
-        stats_.bytes_spilled += info.bytes;
-        ++stats_.spills;
-        spill_block_[info.id] = t.ref;
-        spills_[info.id] = std::move(info);
-      }
-    }
-  }
-  return Status::Ok();
+  return status;
 }
 
 int JobRunner::PickMapServer(HashKey hkey) {
@@ -864,23 +767,8 @@ int JobRunner::PickBackupServer(int avoid, sched::SlotKind kind) {
 
 JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
                                             bool force_recompute,
-                                            std::shared_ptr<std::atomic<bool>> cancel) {
+                                            const std::atomic<bool>& cancel) {
   MapOutcome out;
-  // The shared slot gate: block here (not in the pool queue) until this
-  // job's fair share of the worker's map slots admits the attempt. The
-  // wait aborts on job cancellation, attempt cancellation, or worker
-  // removal — each surfaces as the matching task status.
-  sched::SlotArbiter& arbiter = cluster_.arbiter();
-  Status slot = arbiter.Acquire(w.id(), sched::SlotKind::kMap, user_, cancel_.get(),
-                                cancel ? cancel.get() : nullptr);
-  if (!slot.ok()) {
-    out.status = slot;
-    return out;
-  }
-  SlotLease lease{arbiter, w.id(), sched::SlotKind::kMap, user_};
-  // Every RPC this attempt makes (cache fetches, DHT-FS reads, spill
-  // pushes) sees this cutoff through CurrentDeadline().
-  net::ScopedDeadline task_deadline(TaskDeadline(spec_));
   obs::TraceSpan task_span("mr", "map_task", w.id(),
                            {obs::U64("file", ref.file), obs::U64("block", ref.block),
                             obs::U64("job", job_id_)});
@@ -895,18 +783,12 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
     ~SpanCloser() {
       span.AddArg(obs::Str("locality", out.locality));
       span.AddArg(obs::U64("bytes", out.input_bytes));
-      auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
       runner.cluster_.metrics()
           .GetHistogram("mr.map_task_us", {{"locality", out.locality}})
-          .Record(static_cast<std::uint64_t>(us));
+          .Record(ElapsedUs(t0, std::chrono::steady_clock::now()));
     }
   } closer{task_span, out, *this, task_t0};
-  if (w.dead()) {
-    out.status = Status::Error(ErrorCode::kUnavailable, "worker died");
-    return out;
-  }
+  if (Interrupted(w, cancel, &out.status)) return out;
   const dfs::FileMetadata& meta_ = metas_[ref.file];
   const std::uint64_t block = ref.block;
 
@@ -992,40 +874,21 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
                         spec_.intermediate_ttl, job_id_);
   ShuffleMapContext ctx(shuffle, spec_.shared_state);
   auto mapper = spec_.mapper();
-  // Every exit below reports shuffle.spills(): threshold-crossing Adds have
-  // already pushed objects into the DHT FS, so even a failed or cancelled
-  // attempt must surface them — the phase records failed attempts' spills in
-  // the cleanup ledger so a cancelled job leaves no orphans behind.
+  // A failed or cancelled attempt reports shuffle.spills() too:
+  // threshold-crossing Adds have already pushed objects into the DHT FS, and
+  // the phase records failed attempts' spills in the cleanup ledger so a
+  // cancelled job leaves no orphans behind.
   for (std::string_view record : records) {
     mapper->Map(record, ctx);
-    if (w.dead()) {
-      out.spills = shuffle.spills();
-      out.status = Status::Error(ErrorCode::kUnavailable, "worker died mid-map");
-      return out;
-    }
-    if (cancel && cancel->load(std::memory_order_relaxed)) {
-      out.spills = shuffle.spills();
-      out.status = Status::Error(ErrorCode::kCancelled, "duplicate map attempt lost the race");
-      return out;
-    }
-    if (JobCancelled()) {
-      out.spills = shuffle.spills();
-      out.status = Status::Error(ErrorCode::kCancelled, "job cancelled mid-map");
-      return out;
-    }
+    if (Interrupted(w, cancel, &out.status)) break;
   }
-  mapper->Finish(ctx);
-  if (!ctx.status().ok()) {
-    out.spills = shuffle.spills();
+  if (out.status.ok()) {
+    mapper->Finish(ctx);
     out.status = ctx.status();
-    return out;
   }
-  if (Status s = shuffle.Flush(); !s.ok()) {
-    out.spills = shuffle.spills();
-    out.status = s;
-    return out;
-  }
+  if (out.status.ok()) out.status = shuffle.Flush();
   out.spills = shuffle.spills();
+  if (!out.status.ok()) return out;
 
   if (!tag.empty()) {
     auto manifest_data = std::make_shared<const std::string>(EncodeManifest(out.spills));
@@ -1033,23 +896,13 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
     w.CachePut(manifest_id, manifest_key, std::move(manifest_data),
                cache::EntryKind::kOutput);
   }
-  out.status = Status::Ok();
   return out;
 }
 
 JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
                                                   const std::vector<SpillInfo>& spills,
-                                                  std::shared_ptr<std::atomic<bool>> cancel) {
+                                                  const std::atomic<bool>& cancel) {
   ReduceOutcome out;
-  sched::SlotArbiter& arbiter = cluster_.arbiter();
-  Status slot = arbiter.Acquire(w.id(), sched::SlotKind::kReduce, user_, cancel_.get(),
-                                cancel ? cancel.get() : nullptr);
-  if (!slot.ok()) {
-    out.status = slot;
-    return out;
-  }
-  SlotLease lease{arbiter, w.id(), sched::SlotKind::kReduce, user_};
-  net::ScopedDeadline task_deadline(TaskDeadline(spec_));
   obs::TraceSpan task_span("mr", "reduce_task", w.id(),
                            {obs::U64("spills", spills.size()), obs::U64("job", job_id_)});
   auto task_t0 = std::chrono::steady_clock::now();
@@ -1061,17 +914,10 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
     ~SpanCloser() {
       span.AddArg(obs::U64("ocache_hits", out.ocache_hits));
       span.AddArg(obs::U64("ocache_misses", out.ocache_misses));
-      auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
       runner.cluster_.metrics().GetHistogram("mr.reduce_task_us").Record(
-          static_cast<std::uint64_t>(us));
+          ElapsedUs(t0, std::chrono::steady_clock::now()));
     }
   } closer{task_span, out, *this, task_t0};
-  if (w.dead()) {
-    out.status = Status::Error(ErrorCode::kUnavailable, "worker died");
-    return out;
-  }
 
   // Flat zero-copy grouping: decode every spill into one view vector (the
   // payloads stay pinned — cache handles for oCache hits, `payloads` for
@@ -1087,15 +933,7 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   std::vector<cache::CacheValue> payloads;  // pins every decoded payload
   payloads.reserve(spills.size());
   for (const auto& spill : spills) {
-    if (cancel && cancel->load(std::memory_order_relaxed)) {
-      out.status =
-          Status::Error(ErrorCode::kCancelled, "duplicate reduce attempt lost the race");
-      return out;
-    }
-    if (JobCancelled()) {
-      out.status = Status::Error(ErrorCode::kCancelled, "job cancelled mid-reduce");
-      return out;
-    }
+    if (Interrupted(w, cancel, &out.status)) return out;
     cache::CacheValue data = w.CacheGet(spill.id, cache::EntryKind::kOutput);
     if (data) {
       ++out.ocache_hits;
@@ -1129,24 +967,9 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
   bool completed = ForEachGroupViews(
       scratch, [&](std::string_view key, const std::vector<std::string_view>& values) {
         reducer->Reduce(key, values, ctx);
-        if (w.dead()) {
-          out.status = Status::Error(ErrorCode::kUnavailable, "worker died mid-reduce");
-          return false;
-        }
-        if (cancel && cancel->load(std::memory_order_relaxed)) {
-          out.status =
-              Status::Error(ErrorCode::kCancelled, "duplicate reduce attempt lost the race");
-          return false;
-        }
-        if (JobCancelled()) {
-          out.status = Status::Error(ErrorCode::kCancelled, "job cancelled mid-reduce");
-          return false;
-        }
-        return true;
+        return !Interrupted(w, cancel, &out.status);
       });
-  if (!completed) return out;
-  out.output = std::move(ctx.output());
-  out.status = Status::Ok();
+  if (completed) out.output = std::move(ctx.output());
   return out;
 }
 

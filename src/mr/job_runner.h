@@ -14,7 +14,6 @@
 #include <atomic>
 #include <memory>
 
-#include "fault/straggler.h"
 #include "mr/cluster.h"
 #include "mr/shuffle.h"
 
@@ -63,16 +62,21 @@ class JobRunner {
     bool operator==(const BlockRef&) const = default;
   };
 
-  /// `cancel` (optional) is the attempt's duplicate-cancellation token:
-  /// speculative execution sets it once a sibling attempt wins, and the task
-  /// exits kCancelled at its next record boundary. Output stays correct
-  /// either way — spill ids are deterministic and contents identical, so
-  /// concurrent duplicate attempts overwrite each other idempotently
-  /// (first-writer-wins).
+  /// Attempt bodies; they run holding a slot of their kind under the task
+  /// deadline (AttemptSet). `cancel` is the attempt's duplicate-cancellation
+  /// token: speculative execution sets it once a sibling attempt wins, and
+  /// the task exits kCancelled at its next record boundary. Output stays
+  /// correct either way — spill ids are deterministic and contents
+  /// identical, so concurrent duplicate attempts overwrite each other
+  /// idempotently (first-writer-wins).
   MapOutcome RunMapTask(WorkerServer& w, BlockRef ref, bool force_recompute,
-                        std::shared_ptr<std::atomic<bool>> cancel = nullptr);
+                        const std::atomic<bool>& cancel);
   ReduceOutcome RunReduceTask(WorkerServer& w, const std::vector<SpillInfo>& spills,
-                              std::shared_ptr<std::atomic<bool>> cancel = nullptr);
+                              const std::atomic<bool>& cancel);
+
+  /// Should a running attempt stop now? True, with the reason in `*why`,
+  /// when its worker died, a sibling attempt won, or the job was cancelled.
+  bool Interrupted(WorkerServer& w, const std::atomic<bool>& cancel, Status* why) const;
 
   /// Pick the map server for a block key under this job's scheduler epoch.
   /// For Delay this may block up to the locality-wait timeout (the wait
@@ -95,14 +99,16 @@ class JobRunner {
   /// Tagged jobs keep theirs: their manifests stay reusable (§II-C).
   void ReleaseSpills();
 
-  /// One pass over the reduce plan derived from the current spill set.
-  /// Returns NotFound after re-running producers of lost spills (caller
-  /// rebuilds the plan and retries), or the first fatal status.
+  /// The one task-attempt engine both phases run on: retries, backups,
+  /// first-success-wins and the drain of every attempt (job_runner.cc).
+  template <typename Outcome>
+  class AttemptSet;
+
+  /// One pass over the reduce plan derived from the current spill set: every
+  /// range group runs at once on its owner. Returns NotFound after
+  /// re-running the producers of lost spills (the caller rebuilds the plan
+  /// and retries), or the first fatal status.
   Status RunReducePhase(std::vector<KV>* output);
-  Status RunReducePhaseSequential(std::vector<KV>* output);
-  /// Parallel dispatch across range groups with straggler speculation
-  /// (used when spec_.speculative_execution is set).
-  Status RunReducePhaseSpeculative(std::vector<KV>* output);
 
   /// Run the map phase over `blocks`, merging spills into spills_ /
   /// spill_block_. `force_recompute` bypasses tagged-intermediate reuse —

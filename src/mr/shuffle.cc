@@ -110,10 +110,11 @@ bool ForEachGroup(std::vector<KV>& pairs,
   return true;
 }
 
-std::string SpillId(const std::string& prefix, HashKey range_begin, std::uint64_t seq) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "/r%016llx/s%" PRIu64,
-                static_cast<unsigned long long>(range_begin), seq);
+std::string SpillId(const std::string& prefix, const KeyRange& range, std::uint64_t seq) {
+  char buf[80];
+  std::snprintf(buf, sizeof buf, "/r%016llx-%016llx/s%" PRIu64,
+                static_cast<unsigned long long>(range.begin),
+                static_cast<unsigned long long>(range.end), seq);
   return prefix + buf;
 }
 
@@ -222,7 +223,7 @@ Status ShuffleWriter::SpillRange(std::size_t idx) {
   RangeBuffer& buf = buffers_[idx];
   const HashKey range_begin = begins_[idx];
   SpillInfo info;
-  info.id = SpillId(prefix_, range_begin, buf.seq);
+  info.id = SpillId(prefix_, ranges_[idx], buf.seq);
   info.range_begin = range_begin;
   info.pairs = buf.pairs.size();
   info.bytes = buf.bytes;

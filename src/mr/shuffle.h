@@ -228,8 +228,11 @@ class ShuffleWriter {
   BinaryWriter encode_;  // backing buffer borrowed from BufferPool::Global
 };
 
-/// Deterministic spill object id.
-std::string SpillId(const std::string& prefix, HashKey range_begin, std::uint64_t seq);
+/// Deterministic spill object id. It names the target range by both ends:
+/// after a membership change a range can keep its begin but grow or shrink,
+/// and a spill written under the new table must not alias (in the DHT FS or
+/// a reducer's oCache) one written under the old table with other contents.
+std::string SpillId(const std::string& prefix, const KeyRange& range, std::uint64_t seq);
 
 /// Manifest object listing a map task's spills, enabling §II-C reuse
 /// ("if a user application specifies it can reuse intermediate results and

@@ -31,7 +31,7 @@ struct JobSummary {
   std::uint64_t maps_local_disk = 0;   // block served by the task's own server
   std::uint64_t maps_remote_disk = 0;  // block pulled from a replica elsewhere
   std::uint64_t maps_skipped = 0;
-  std::uint64_t map_waves = 0;
+  std::uint64_t map_waves = 0;  // map_phase spans: 1, plus one per producer re-run
 
   std::uint64_t reduces_total = 0;
 

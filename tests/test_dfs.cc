@@ -213,6 +213,22 @@ TEST_F(DfsTest, ReadSurvivesOwnerCrash) {
   EXPECT_EQ(back.value(), content);
 }
 
+TEST_F(DfsTest, UnderReplicatedWritesAreCounted) {
+  Boot(5, 100);
+  ASSERT_TRUE(client_->Upload("healthy", MakeContent(500)).ok());
+  EXPECT_EQ(client_->under_replicated_writes(), 0u);
+
+  // Detach one server from the transport but leave it in the ring: every
+  // write it is a replica target of reaches only the other targets.
+  transport_.Register(2, nullptr);
+  std::string content = MakeContent(500);
+  ASSERT_TRUE(client_->Upload("degraded", content).ok());
+  EXPECT_GT(client_->under_replicated_writes(), 0u);
+  auto back = client_->ReadFile("degraded");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value(), content);
+}
+
 TEST_F(DfsTest, RecoveryRestoresReplicationFactor) {
   Boot(6, 100);
   std::string content = MakeContent(600);

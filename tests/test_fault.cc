@@ -67,10 +67,10 @@ TEST(Fault, UploadAfterCrashUsesSurvivors) {
   EXPECT_EQ(back.value(), text);
 }
 
-TEST(Fault, LostIntermediatesRerunMaps) {
-  // Run a tagged job, then kill a server holding spills (they are NOT
-  // replicated, §II-C); a re-submission must transparently re-run the
-  // affected maps and still produce correct output.
+// Run a tagged job, then kill a server holding spills (they are NOT
+// replicated, §II-C); a re-submission must transparently re-run the affected
+// maps and still produce correct output, with or without straggler backups.
+void ExpectLostIntermediatesRerunMaps(bool speculative) {
   Cluster cluster(FaultyCluster(6));
   std::string text = SampleText(11);
   ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
@@ -84,6 +84,8 @@ TEST(Fault, LostIntermediatesRerunMaps) {
 
   JobSpec second = apps::WordCountJob("wc-b", "corpus");
   second.intermediate_tag = "fault-tag";
+  second.speculative_execution = speculative;
+  second.speculation_min_completed = 1;
   JobResult r2 = cluster.Run(second);
   ASSERT_TRUE(r2.status.ok()) << r2.status.ToString();
 
@@ -93,6 +95,10 @@ TEST(Fault, LostIntermediatesRerunMaps) {
     EXPECT_EQ(kv.value, std::to_string(expected.at(kv.key)));
   }
 }
+
+TEST(Fault, LostIntermediatesRerunMaps) { ExpectLostIntermediatesRerunMaps(false); }
+
+TEST(Fault, LostIntermediatesRerunMapsSpeculative) { ExpectLostIntermediatesRerunMaps(true); }
 
 TEST(Fault, MembershipDetectsEngineKill) {
   ClusterOptions opts = FaultyCluster(4);

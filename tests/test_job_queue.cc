@@ -273,8 +273,9 @@ TEST(JobQueue, CancelMidMapLeavesClusterReusable) {
   ExpectAllSlotsFree(cluster);
 }
 
-// Satellite 4, reduce side: cancel once reduce slots are in use.
-TEST(JobQueue, CancelMidReduceLeavesClusterReusable) {
+// Reduce side: cancel once reduce slots are in use, with or without
+// straggler backups in flight.
+void ExpectCancelMidReduceLeavesClusterReusable(bool speculative) {
   mr::ClusterOptions opts;
   opts.num_servers = 4;
   opts.block_size = 1_KiB;
@@ -284,6 +285,8 @@ TEST(JobQueue, CancelMidReduceLeavesClusterReusable) {
 
   mr::JobSpec job = apps::WordCountJob("doomed-reduce", "corpus");
   job.spill_threshold = 256;
+  job.speculative_execution = speculative;
+  job.speculation_min_completed = 1;
   auto base_reducer = job.reducer;
   job.reducer = [base_reducer] {
     class Slowed : public mr::Reducer {
@@ -328,6 +331,14 @@ TEST(JobQueue, CancelMidReduceLeavesClusterReusable) {
 
   ExpectWordCount(cluster.Run(apps::WordCountJob("after", "corpus")), text);
   ExpectAllSlotsFree(cluster);
+}
+
+TEST(JobQueue, CancelMidReduceLeavesClusterReusable) {
+  ExpectCancelMidReduceLeavesClusterReusable(false);
+}
+
+TEST(JobQueue, CancelMidReduceLeavesClusterReusableSpeculative) {
+  ExpectCancelMidReduceLeavesClusterReusable(true);
 }
 
 // Destroying the cluster with jobs queued and running must not hang or

@@ -285,6 +285,7 @@ TEST(ClusterMetrics, PrometheusExpositionCoversLayers) {
   EXPECT_NE(prom.find("mr_map_tasks_by_locality{locality="), std::string::npos);
   EXPECT_NE(prom.find("net_calls{transport=\"inproc\"}"), std::string::npos);
   EXPECT_NE(prom.find("mr_jobs_completed 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("dfs_under_replicated_writes 0\n"), std::string::npos);
 
   cluster.KillServer(1);
   prom = cluster.MetricsPrometheus();

@@ -2,12 +2,20 @@
 // the serial reference implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <map>
+#include <stdexcept>
+#include <thread>
+
 #include "apps/grep.h"
 #include "apps/inverted_index.h"
 #include "apps/sort.h"
 #include "apps/text_util.h"
 #include "apps/wordcount.h"
 #include "mr/cluster.h"
+#include "obs/trace.h"
 #include "workload/generators.h"
 
 namespace eclipse::mr {
@@ -111,6 +119,100 @@ TEST(MrEngine, SortProducesGlobalOrder) {
   for (std::size_t i = 1; i < result.output.size(); ++i) {
     EXPECT_LE(result.output[i - 1].key, result.output[i].key);
   }
+}
+
+TEST(MrEngine, ReducesOfOneJobRunConcurrently) {
+  // With speculation off, every range group of a job is dispatched at once
+  // to its owner, so reduce tasks on different servers overlap in time.
+  auto& tracer = obs::Tracer::Global();
+  tracer.Start();
+  Cluster cluster(SmallCluster(4));
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", SampleText()).ok());
+  JobSpec job = apps::WordCountJob("wc-slow-reduce", "corpus");
+  ASSERT_FALSE(job.speculative_execution);
+  auto base_reducer = job.reducer;
+  job.reducer = [base_reducer] {
+    class Slowed : public Reducer {
+     public:
+      explicit Slowed(std::unique_ptr<Reducer> inner) : inner_(std::move(inner)) {}
+      void Reduce(std::string_view key, const std::vector<std::string_view>& values,
+                  ReduceContext& ctx) override {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        inner_->Reduce(key, values, ctx);
+      }
+
+     private:
+      std::unique_ptr<Reducer> inner_;
+    };
+    return std::unique_ptr<Reducer>(new Slowed(base_reducer()));
+  };
+  JobResult result = cluster.Run(job);
+  tracer.Stop();  // snapshot while the executor threads (and their logs) live
+  std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  tracer.Clear();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_GE(result.stats.reduce_tasks, 2u);
+
+  // Pair each reduce_task span of this job on its thread (a thread runs one
+  // task at a time), then look for two intervals that overlap.
+  std::map<std::uint32_t, std::uint64_t> open;  // tid -> begin ts
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  for (const obs::TraceEvent& e : events) {
+    if (std::strcmp(e.name, "reduce_task") != 0) continue;
+    if (e.phase == 'B') {
+      for (std::size_t i = 0; i < e.nargs; ++i) {
+        if (std::strcmp(e.args[i].key, "job") == 0 && e.args[i].uval == result.job_id) {
+          open[e.tid] = e.ts_us;
+        }
+      }
+    } else if (e.phase == 'E') {
+      if (auto it = open.find(e.tid); it != open.end()) {
+        spans.emplace_back(it->second, e.ts_us);
+        open.erase(it);
+      }
+    }
+  }
+  ASSERT_EQ(spans.size(), result.stats.reduce_tasks);
+  std::sort(spans.begin(), spans.end());
+  bool overlap = false;
+  std::uint64_t end = spans[0].second;
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    overlap = overlap || spans[i].first < end;
+    end = std::max(end, spans[i].second);
+  }
+  EXPECT_TRUE(overlap) << "no two of " << spans.size() << " reduce tasks overlapped";
+}
+
+TEST(MrEngine, ThrowingMapperPropagatesAndLeavesClusterReusable) {
+  // An exception from user code reaches the caller as it did from a blocking
+  // wait, but only after every other attempt of the phase has been joined:
+  // none may outlive the job it references.
+  Cluster cluster(SmallCluster(4));
+  std::string text = SampleText();
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  JobSpec job = apps::WordCountJob("wc-throws", "corpus");
+  auto base_mapper = job.mapper;
+  job.mapper = [base_mapper] {
+    class Throwing : public Mapper {
+     public:
+      explicit Throwing(std::unique_ptr<Mapper> inner) : inner_(std::move(inner)) {}
+      void Map(std::string_view record, MapContext& ctx) override {
+        if (record.size() % 5 == 0) throw std::runtime_error("mapper failed");
+        inner_->Map(record, ctx);
+      }
+      void Finish(MapContext& ctx) override { inner_->Finish(ctx); }
+
+     private:
+      std::unique_ptr<Mapper> inner_;
+    };
+    return std::unique_ptr<Mapper>(new Throwing(base_mapper()));
+  };
+  EXPECT_THROW(cluster.Run(job), std::runtime_error);
+
+  JobResult again = cluster.Run(apps::WordCountJob("wc-after", "corpus"));
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  auto expected = apps::WordCountSerial(text);
+  EXPECT_EQ(again.output.size(), expected.size());
 }
 
 TEST(MrEngine, MissingInputFails) {

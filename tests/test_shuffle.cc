@@ -35,9 +35,12 @@ TEST(Manifest, RoundTrip) {
 }
 
 TEST(SpillIdTest, DeterministicAndDistinct) {
-  EXPECT_EQ(SpillId("p", 10, 0), SpillId("p", 10, 0));
-  EXPECT_NE(SpillId("p", 10, 0), SpillId("p", 10, 1));
-  EXPECT_NE(SpillId("p", 10, 0), SpillId("p", 11, 0));
+  EXPECT_EQ(SpillId("p", KeyRange{10, 20}, 0), SpillId("p", KeyRange{10, 20}, 0));
+  EXPECT_NE(SpillId("p", KeyRange{10, 20}, 0), SpillId("p", KeyRange{10, 20}, 1));
+  EXPECT_NE(SpillId("p", KeyRange{10, 20}, 0), SpillId("p", KeyRange{11, 20}, 0));
+  // A range that kept its begin across a membership change but changed its
+  // extent holds other keys: its spills must not share ids with the old ones.
+  EXPECT_NE(SpillId("p", KeyRange{10, 20}, 0), SpillId("p", KeyRange{10, 30}, 0));
   EXPECT_EQ(ManifestId("tag", "in", 3), "man/tag/in/b3");
 }
 
