@@ -153,7 +153,10 @@ void BenchShuffleAdd(Report& report, int servers, bool small) {
   std::vector<mr::KV> input;
   input.reserve(static_cast<std::size_t>(records));
   for (int i = 0; i < records; ++i) {
-    input.push_back(mr::KV{"key-" + std::to_string(i % 4096), "v" + std::to_string(i)});
+    mr::KV kv{"key-", "v"};
+    kv.key += std::to_string(i % 4096);
+    kv.value += std::to_string(i);
+    input.push_back(std::move(kv));
   }
 
   mr::ShuffleWriter w("im/bench/b0", ranges, client, 1_GiB, std::chrono::milliseconds(0));
@@ -171,7 +174,8 @@ void BenchShuffleAdd(Report& report, int servers, bool small) {
     std::fprintf(stderr, "shuffle flush failed: %s\n", s.ToString().c_str());
     std::exit(1);
   }
-  std::string name = "shuffle_add_" + std::to_string(servers) + "r_ns_per_record";
+  std::string name = "shuffle_add_";
+  name.append(std::to_string(servers)).append("r_ns_per_record");
   report.Num(name, secs / records * 1e9);
   std::printf("shuffle_add (%3dr)  %10.1f ns/record\n", servers, secs / records * 1e9);
 }
@@ -233,7 +237,7 @@ double BenchMultiJob(Report& report, mr::Cluster& cluster, bool small) {
     threads.emplace_back([&cluster, &bad, jobs_each, expect, t] {
       for (int i = 0; i < jobs_each; ++i) {
         mr::JobSpec job = apps::WordCountJob("mj", "corpus");
-        job.user = "u" + std::to_string(t);
+        job.user = std::string("u").append(std::to_string(t));
         mr::JobResult r = cluster.Submit(std::move(job)).Wait();
         if (!r.status.ok() || ChecksumOutput(r.output) != expect) bad.store(true);
       }
@@ -315,7 +319,7 @@ void BenchSaturation(Report& report, const char* argv0, const std::string& corpu
       threads.emplace_back([&cluster, &bad, jobs_each, expect, t] {
         for (int i = 0; i < jobs_each; ++i) {
           mr::JobSpec job = apps::WordCountJob("sat", "corpus");
-          job.user = "u" + std::to_string(t);
+          job.user = std::string("u").append(std::to_string(t));
           mr::JobResult r = cluster.Submit(std::move(job)).Wait();
           if (!r.status.ok() || ChecksumOutput(r.output) != expect) bad.store(true);
         }

@@ -125,8 +125,7 @@ int RunChaos(mr::Cluster& cluster, const std::string& corpus,
     return 1;
   }
 
-  std::string json = tracer.ExportChromeTrace();
-  if (Status valid = obs::ValidateChromeTrace(json); !valid.ok()) {
+  if (Status valid = obs::ValidateChromeTrace(tracer.Snapshot()); !valid.ok()) {
     std::fprintf(stderr, "trace failed validation: %s\n", valid.ToString().c_str());
     return 1;
   }

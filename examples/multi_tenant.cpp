@@ -63,7 +63,7 @@ constexpr int kUsers = 4;
 
 /// The tenant's job list. Names deliberately repeat across tenants.
 std::vector<mr::JobSpec> SpecsFor(int u) {
-  const std::string user = "u" + std::to_string(u);
+  const std::string user = std::string("u").append(std::to_string(u));
   const std::string input = "corpus/" + user;
   std::vector<mr::JobSpec> specs;
   specs.push_back(apps::WordCountJob("analytics", input));
@@ -130,8 +130,7 @@ int RunDrill(mr::Cluster& cluster, const std::string& trace_path) {
   }
 
   // Trace artifact: validate structurally, then check per-job attribution.
-  std::string json = tracer.ExportChromeTrace();
-  if (Status valid = obs::ValidateChromeTrace(json); !valid.ok()) {
+  if (Status valid = obs::ValidateChromeTrace(tracer.Snapshot()); !valid.ok()) {
     std::fprintf(stderr, "trace failed validation: %s\n", valid.ToString().c_str());
     return 1;
   }

@@ -24,8 +24,10 @@
 // Usage: slo_drill [trace_out.json]
 // Exit code is non-zero on any violation, so CI runs this binary — plain and
 // under TSan — as the SLO/admission smoke test.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -144,13 +146,16 @@ int RunClusterDrill(const std::string& trace_path) {
   tracer.Stop();
 
   // Phase 4 — observability: instants in the trace, counters in Prometheus.
-  std::string json = tracer.ExportChromeTrace();
-  if (Status valid = obs::ValidateChromeTrace(json); !valid.ok()) {
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  if (Status valid = obs::ValidateChromeTrace(events); !valid.ok()) {
     return Fail("trace failed validation");
   }
   if (!tracer.WriteChromeTrace(trace_path).ok()) return Fail("trace write failed");
   for (const char* name : {"job_admit", "job_reject", "slo_miss"}) {
-    if (json.find(std::string("\"") + name + "\"") == std::string::npos) {
+    auto named = [name](const obs::TraceEvent& e) {
+      return e.name != nullptr && std::strcmp(e.name, name) == 0;
+    };
+    if (std::none_of(events.begin(), events.end(), named)) {
       std::fprintf(stderr, "slo_drill: trace carries no %s instant\n", name);
       return 1;
     }

@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
   }
 
   // Validate before writing — a malformed export is a bug, not an artifact.
-  std::string json = tracer.ExportChromeTrace();
-  Status valid = obs::ValidateChromeTrace(json);
+  Status valid = obs::ValidateChromeTrace(tracer.Snapshot());
   if (!valid.ok()) {
     std::fprintf(stderr, "trace failed validation: %s\n", valid.ToString().c_str());
     return 1;

@@ -59,8 +59,12 @@ void KMeansMapper::Map(std::string_view record, mr::MapContext& ctx) {
 void KMeansMapper::Finish(mr::MapContext& ctx) {
   for (std::size_t c = 0; c < counts_.size(); ++c) {
     if (counts_[c] == 0) continue;
-    ctx.Emit("c" + std::to_string(c),
-             std::to_string(counts_[c]) + "|" + JoinDoubles(sums_[c]));
+    std::string key = "c";
+    key += std::to_string(c);
+    std::string value = std::to_string(counts_[c]);
+    value += '|';
+    value += JoinDoubles(sums_[c]);
+    ctx.Emit(key, value);
   }
   sums_.clear();
   counts_.clear();

@@ -214,12 +214,6 @@ bool CacheClient::PutTo(int server, const std::string& id, HashKey key,
       transport_.Call(self_, server, EncodePut(id, key, data, data.size(), kind)));
 }
 
-bool CacheClient::PutPlaceholderTo(int server, const std::string& id, HashKey key,
-                                   Bytes size, EntryKind kind) {
-  return PutAccepted(
-      transport_.Call(self_, server, EncodePut(id, key, {}, size, kind)));
-}
-
 CacheClient::RemoteInfo CacheClient::InfoFrom(int server) {
   RemoteInfo info;
   auto resp = transport_.Call(self_, server, net::Message{msg::kStats, {}});

@@ -73,8 +73,6 @@ class CacheClient {
   /// Insert into `server`'s cache. Returns false if rejected or unreachable.
   bool PutTo(int server, const std::string& id, HashKey key,
              std::string_view data, EntryKind kind);
-  bool PutPlaceholderTo(int server, const std::string& id, HashKey key,
-                        Bytes size, EntryKind kind);
 
   /// Point-in-time remote cache introspection (stats aggregation and the
   /// Prometheus per-server gauges).

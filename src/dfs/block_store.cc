@@ -17,7 +17,7 @@ void BlockStore::RunOpHook() const {
 }
 
 void BlockStore::Put(const std::string& id, HashKey key, std::string data,
-                     std::chrono::milliseconds ttl) {
+                     std::chrono::milliseconds ttl, bool object) {
   RunOpHook();
   MutexLock lock(mu_);
   auto it = blocks_.find(id);
@@ -25,6 +25,7 @@ void BlockStore::Put(const std::string& id, HashKey key, std::string data,
   StoredBlock b;
   b.key = key;
   b.data = std::move(data);
+  b.object = object;
   if (ttl != std::chrono::milliseconds::zero()) {
     b.expiry = std::chrono::steady_clock::now() + ttl;
   }
@@ -67,7 +68,7 @@ std::vector<BlockStore::BlockInfo> BlockStore::List() const {
   out.reserve(blocks_.size());
   for (const auto& [id, b] : blocks_) {
     if (Expired(b)) continue;
-    bool transient = b.expiry != std::chrono::steady_clock::time_point{};
+    bool transient = b.object || b.expiry != std::chrono::steady_clock::time_point{};
     out.push_back(BlockInfo{id, b.key, b.data.size(), transient});
   }
   return out;

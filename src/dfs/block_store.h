@@ -27,13 +27,18 @@ struct StoredBlock {
   // Zero: never expires. Otherwise steady-clock deadline (paper: "the stored
   // intermediate results are invalidated by time-to-live (TTL)").
   std::chrono::steady_clock::time_point expiry{};
+  // Written by DfsClient::PutObject (an intermediate result or iteration
+  // output): it keeps the replication it was written with.
+  bool object = false;
 };
 
 class BlockStore {
  public:
-  /// Insert or overwrite. ttl of zero means no expiry.
+  /// Insert or overwrite. ttl of zero means no expiry; `object` marks a
+  /// DfsClient::PutObject write (see StoredBlock::object).
   void Put(const std::string& id, HashKey key, std::string data,
-           std::chrono::milliseconds ttl = std::chrono::milliseconds::zero());
+           std::chrono::milliseconds ttl = std::chrono::milliseconds::zero(),
+           bool object = false);
 
   /// Fetch a copy. kNotFound if absent, kExpired (and erases) if TTL passed.
   Result<std::string> Get(const std::string& id);
@@ -47,7 +52,7 @@ class BlockStore {
     std::string id;
     HashKey key;
     Bytes size;
-    bool transient;  // TTL-bearing (intermediate result): not re-replicated
+    bool transient;  // TTL-bearing or an object: never re-replicated
   };
   std::vector<BlockInfo> List() const;
 

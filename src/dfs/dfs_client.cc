@@ -284,7 +284,7 @@ Status DfsClient::PutObject(const std::string& id, HashKey key, const std::strin
   w.PutU64(key);
   w.PutU64(static_cast<std::uint64_t>(ttl.count()));
   w.PutString(data);
-  net::Message put{msg::kPutBlock, w.Take()};
+  net::Message put{msg::kPutObject, w.Take()};
   const bool stored = PutReplicas(ring, key, replication, put);
   BufferPool::Global().Release(std::move(put.payload));
   if (!stored) return Status::Error(ErrorCode::kUnavailable, "no replica accepted " + id);

@@ -87,7 +87,8 @@ class DfsClient {
   // ---- Intermediate results (§II-C/D) ------------------------------------
 
   /// Persist an intermediate result (or iteration output) under an explicit
-  /// id and hash key. Not replicated by default; optional TTL.
+  /// id and hash key. Not replicated by default; optional TTL. The object
+  /// keeps the replication it was written with: FsRecovery never copies it.
   Status PutObject(const std::string& id, HashKey key, const std::string& data,
                    std::chrono::milliseconds ttl = std::chrono::milliseconds::zero(),
                    std::size_t replication = 1);

@@ -182,7 +182,8 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
       return Ok();
     }
 
-    case msg::kPutBlock: {
+    case msg::kPutBlock:
+    case msg::kPutObject: {
       BinaryReader r(m.payload);
       std::string id, data;
       std::uint64_t key, ttl_ms;
@@ -190,7 +191,8 @@ net::Message DfsNode::Handle(int from, const net::Message& m) {
         return net::ErrorMessage(ErrorCode::kInvalidArgument, "bad PutBlock request");
       }
       std::uint64_t bytes = data.size();
-      blocks_.Put(id, key, std::move(data), std::chrono::milliseconds(ttl_ms));
+      blocks_.Put(id, key, std::move(data), std::chrono::milliseconds(ttl_ms),
+                  /*object=*/m.type == msg::kPutObject);
       // Instants on the storing node's track: per-replica write traffic
       // (three per logical block under 3-way replication, §II-A).
       obs::Tracer::Global().Emit('i', "dfs", "block_put", self_,

@@ -20,7 +20,7 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
     HashKey key = 0;
     std::vector<int> holders;
   };
-  std::map<std::string, Item> blocks;    // durable blocks only
+  std::map<std::string, Item> blocks;    // file blocks only (no objects)
   std::map<std::string, Item> metadata;  // keyed by file name
 
   auto call = [&](int to, const net::Message& m) -> Result<net::Message> {
@@ -124,14 +124,8 @@ RecoveryReport FsRecovery::Repair(std::size_t replication, bool drop_extraneous)
     auto targets = ring.Replicas(item.key, replication);
     for (int target : targets) {
       if (has(item.holders, target)) continue;
-      // Any holder can serve the record via a local list; easiest correct
-      // path is to re-read it through GetMetadata semantics at a holder.
-      BinaryWriter req;
-      req.PutString(name);
-      req.PutString("");  // recovery runs as the superuser-less system; the
-                          // permission check only rejects non-owners, and a
-                          // holder returns public records to anyone — so
-                          // fetch via kListMetadata instead when private.
+      // Fetch the record from a holder's local list: kGetMetadata would
+      // refuse a private record to this non-owner endpoint.
       FileMetadata found;
       bool got = false;
       for (int holder : item.holders) {

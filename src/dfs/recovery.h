@@ -7,8 +7,10 @@
 // inventories and copies whatever is missing so each durable block and
 // metadata record is back at the configured replication factor.
 //
-// TTL-bearing (transient) blocks — persisted intermediate results — are not
-// replicated by default (§II-C) and are therefore skipped.
+// Objects written by DfsClient::PutObject — intermediate results and
+// iteration outputs — are unreplicated by design (§II-C): they keep the
+// replication they were written with, so this pass neither copies them nor
+// counts them lost. A job re-runs the producers of spills that died.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +22,7 @@ namespace eclipse::dfs {
 struct RecoveryReport {
   std::size_t blocks_copied = 0;
   std::size_t metadata_copied = 0;
-  std::size_t blocks_lost = 0;     // durable blocks with no surviving replica
+  std::size_t blocks_lost = 0;     // file blocks with no surviving replica
   std::size_t blocks_dropped = 0;  // extraneous copies removed (join rebalance)
 };
 

@@ -8,8 +8,12 @@ namespace eclipse::dht {
 void Ring::AddServer(int server, int vnodes) {
   if (vnodes < 1) vnodes = 1;
   for (int v = 0; v < vnodes; ++v) {
-    std::string name = "server-" + std::to_string(server);
-    if (vnodes > 1) name += "#" + std::to_string(v);
+    std::string name = "server-";
+    name += std::to_string(server);
+    if (vnodes > 1) {
+      name += '#';
+      name += std::to_string(v);
+    }
     HashKey pos = KeyOf(name);
     // In the astronomically unlikely event of a SHA-1-prefix collision,
     // probe forward deterministically.

@@ -77,15 +77,14 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
 
   dfs::RingProvider ring_provider = [this] { return ring_snapshot(); };
 
-  WorkerOptions wopts;
-  wopts.map_slots = options_.map_slots;
-  wopts.reduce_slots = options_.reduce_slots;
-  wopts.cache_capacity = options_.cache_capacity;
-  wopts.dfs_client.default_block_size = options_.block_size;
-  wopts.dfs_client.replication = options_.replication;
-  wopts.dfs_client.user = options_.user;
-  wopts.dfs_client.retry = options_.rpc_retry;
-  wopts.remote = options_.deployment != nullptr;
+  worker_options_.map_slots = options_.map_slots;
+  worker_options_.reduce_slots = options_.reduce_slots;
+  worker_options_.cache_capacity = options_.cache_capacity;
+  worker_options_.dfs_client.default_block_size = options_.block_size;
+  worker_options_.dfs_client.replication = options_.replication;
+  worker_options_.dfs_client.user = options_.user;
+  worker_options_.dfs_client.retry = options_.rpc_retry;
+  worker_options_.remote = options_.deployment != nullptr;
 
   for (const auto& [user, weight] : options_.user_weights) {
     arbiter_.SetWeight(user, weight);
@@ -105,7 +104,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
     workers_.reserve(options_.num_servers);
     for (int i = 0; i < options_.num_servers; ++i) {
       workers_.push_back(std::make_unique<WorkerServer>(
-          i, *transport_raw_, ring_provider, wopts, *executor_,
+          i, *transport_raw_, ring_provider, worker_options_, *executor_,
           static_cast<std::size_t>(i)));
       WireSlowDisk(*workers_.back());
       arbiter_.AddWorker(i, options_.map_slots, options_.reduce_slots);
@@ -123,22 +122,22 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
         agents_.back()->SetRing(initial);
       }
       for (auto& agent : agents_) {
-        agent->OnFailure([this](int failed) { HandleMembershipFailure(failed); });
+        agent->OnFailure(
+            [this](int failed) { RemoveServer(failed, "heartbeat-detected failure"); });
       }
       for (auto& agent : agents_) agent->Start();
     }
   }
 
-  dfs::DfsClientOptions copts = wopts.dfs_client;
   client_ = std::make_unique<dfs::DfsClient>(ClientEndpointId(), *transport_raw_,
-                                             ring_provider, copts);
+                                             ring_provider, worker_options_.dfs_client);
 
   RebuildSchedulers();
 
   if (options_.deployment) {
     options_.deployment->OnWorkerFailure([this](int failed) {
-      // The heartbeat monitor already dropped the peer route; mirror the
-      // in-process agents' failure path (mark dead, shrink ring, recover).
+      // The heartbeat monitor already dropped the peer route: mark the
+      // worker dead, then shrink the ring and recover.
       WorkerServer* w = nullptr;
       {
         MutexLock lock(workers_mu_);
@@ -148,8 +147,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
       }
       if (!w || w->dead()) return;
       w->Kill();
-      arbiter_.RemoveWorker(failed);
-      HandleMembershipFailure(failed);
+      RemoveServer(failed, "deployment heartbeat failure");
     });
     options_.deployment->StartHeartbeatMonitor();
   }
@@ -292,54 +290,32 @@ dfs::RecoveryReport Cluster::KillServer(int id) {
   // with it, exactly like a crashed machine) before dropping our route.
   if (options_.deployment) options_.deployment->ShutdownWorker(id);
   worker(id).Kill();
-  arbiter_.RemoveWorker(id);  // waiters on its slots fail over elsewhere
+  return RemoveServer(id, "kill");
+}
+
+dfs::RecoveryReport Cluster::RemoveServer(int id, const char* cause) {
   {
     MutexLock lock(ring_mu_);
+    if (!ring_.Contains(id)) return {};
     ring_.RemoveServer(id);
     ring_snapshot_ = std::make_shared<const dht::Ring>(ring_);
   }
+  arbiter_.RemoveWorker(id);  // waiters on its slots fail over elsewhere
   RebuildSchedulers();
   // The resource manager's take-over pass (§II-A): restore the replication
   // factor using the surviving replicas.
   dfs::FsRecovery recovery(ClientEndpointId(), *transport_raw_,
                            [this] { return ring_snapshot(); });
   auto report = recovery.Repair(options_.replication);
-  LOG_INFO << "recovery after killing server " << id << ": " << report.blocks_copied
-           << " blocks copied, " << report.blocks_lost << " lost";
+  LOG_INFO << "recovery after " << cause << " of server " << id << ": "
+           << report.blocks_copied << " blocks copied, " << report.blocks_lost << " lost";
   metrics_.GetCounter("cluster.recoveries").Add();
   metrics_.GetCounter("cluster.blocks_rereplicated").Add(report.blocks_copied);
   metrics_.GetCounter("cluster.blocks_lost").Add(report.blocks_lost);
   return report;
 }
 
-void Cluster::HandleMembershipFailure(int failed) {
-  {
-    MutexLock lock(ring_mu_);
-    if (!ring_.Contains(failed)) return;  // already handled (every surviving
-                                          // agent reports the same failure)
-    ring_.RemoveServer(failed);
-    ring_snapshot_ = std::make_shared<const dht::Ring>(ring_);
-  }
-  arbiter_.RemoveWorker(failed);
-  RebuildSchedulers();
-  dfs::FsRecovery recovery(ClientEndpointId(), *transport_raw_,
-                           [this] { return ring_snapshot(); });
-  auto report = recovery.Repair(options_.replication);
-  LOG_INFO << "auto-recovery after heartbeat-detected failure of server " << failed << ": "
-           << report.blocks_copied << " blocks copied, " << report.blocks_lost << " lost";
-}
-
 int Cluster::AddServer(dfs::RecoveryReport* report) {
-  WorkerOptions wopts;
-  wopts.map_slots = options_.map_slots;
-  wopts.reduce_slots = options_.reduce_slots;
-  wopts.cache_capacity = options_.cache_capacity;
-  wopts.dfs_client.default_block_size = options_.block_size;
-  wopts.dfs_client.replication = options_.replication;
-  wopts.dfs_client.user = options_.user;
-  wopts.dfs_client.retry = options_.rpc_retry;
-  wopts.remote = options_.deployment != nullptr;
-
   dfs::RingProvider ring_provider = [this] { return ring_snapshot(); };
   if (options_.deployment) {
     // Adopt a freshly started eclipse-worker process: it must complete the
@@ -366,7 +342,7 @@ int Cluster::AddServer(dfs::RecoveryReport* report) {
     id = static_cast<int>(workers_.size());
     const std::size_t shard = executor_->AddShard();  // newcomer's home shard
     workers_.push_back(std::make_unique<WorkerServer>(id, *transport_raw_, ring_provider,
-                                                      wopts, *executor_, shard));
+                                                      worker_options_, *executor_, shard));
     WireSlowDisk(*workers_.back());
     if (options_.start_membership && !options_.deployment) {
       agents_.push_back(std::make_unique<dht::MembershipAgent>(
@@ -397,7 +373,8 @@ int Cluster::AddServer(dfs::RecoveryReport* report) {
       }
     }
     if (!joined) agent->SetRing(ring());
-    agent->OnFailure([this](int failed) { HandleMembershipFailure(failed); });
+    agent->OnFailure(
+        [this](int failed) { RemoveServer(failed, "heartbeat-detected failure"); });
     agent->Start();
   }
 

@@ -74,11 +74,6 @@ struct ClusterOptions {
   bool start_membership = false;
   dht::MembershipConfig membership{};
 
-  /// After each job, migrate cache entries that a LAF re-partition left on
-  /// the wrong server to the new range owner (§II-E option; the paper
-  /// disabled it in its experiments, so the default is off).
-  bool migrate_misplaced_cache = false;
-
   /// Run the whole data plane over loopback TCP instead of in-process
   /// dispatch: every block read, metadata lookup, heartbeat, and
   /// intermediate-result push crosses real sockets. Slower; proves the node
@@ -142,9 +137,6 @@ class Cluster {
   /// run in parallel over the shared workers. See job_queue.h.
   JobHandle Submit(JobSpec spec);
 
-  /// The multi-job front end (pending/running introspection for tests).
-  JobQueue& queue() { return *queue_; }
-
   /// Cross-job per-worker slot arbitration (weighted max-min fair).
   sched::SlotArbiter& arbiter() { return arbiter_; }
 
@@ -183,6 +175,7 @@ class Cluster {
 
   /// Crash a worker: detaches it, updates the ring, rebuilds schedulers, and
   /// (synchronously) re-replicates under-replicated files via FsRecovery.
+  /// An id already off the ring gets an empty report.
   dfs::RecoveryReport KillServer(int id);
 
   /// Grow the cluster: boot a fresh worker, place it on the ring, rebuild
@@ -192,7 +185,9 @@ class Cluster {
   /// failure recovery"). Returns the new server's id.
   int AddServer(dfs::RecoveryReport* report = nullptr);
 
-  /// §II-E migration option, also callable directly by tests.
+  /// §II-E option: move cache entries that a LAF re-partition left on the
+  /// wrong server to the new range owner. Never run automatically (the paper
+  /// disabled it in its experiments); benchmarks and tests call it.
   std::size_t MigrateMisplacedCache();
 
   /// Cache statistics summed over live workers.
@@ -236,10 +231,14 @@ class Cluster {
   friend class JobRunner;
 
   void RebuildSchedulers();
-  /// Heartbeat-driven failure path (start_membership): invoked from agent
-  /// callbacks when a worker is declared dead — mirrors KillServer's
-  /// bookkeeping and re-replication without an operator in the loop.
-  void HandleMembershipFailure(int failed);
+  /// The one server-removal path: KillServer, heartbeat eviction by the
+  /// membership agents, and the deployment's heartbeat monitor all end here.
+  /// Drops `id` from the ring and the arbiter, rebuilds the schedulers, runs
+  /// the take-over pass (FsRecovery, §II-A) and counts it in the cluster.*
+  /// recovery metrics. Does nothing for an id already off the ring (every
+  /// surviving agent reports the same failure). Callers mark the worker
+  /// dead themselves where that applies.
+  dfs::RecoveryReport RemoveServer(int id, const char* cause);
   /// Point the worker's BlockStore op hook at the fault controller's
   /// slow-disk delay (no-op without a controller).
   void WireSlowDisk(WorkerServer& w);
@@ -252,6 +251,9 @@ class Cluster {
   // All three are held only for brief state reads/copies; no transport call,
   // scheduler decision, or recovery pass runs under any of them.
   ClusterOptions options_;
+  // Every worker's options, derived from options_ once (constructor and
+  // AddServer build workers from it).
+  WorkerOptions worker_options_;
   // Declared before transport_ so it outlives it: an owned TcpTransport's
   // epoll/handler threads account into counters here until the transport's
   // own destructor joins them.

@@ -146,16 +146,6 @@ void JobQueue::UpdateDemandLocked(const std::string& user, double delta_us) {
   cluster_.arbiter().SetPredictedDemand(user, demand);
 }
 
-std::size_t JobQueue::Pending() const {
-  MutexLock lock(mu_);
-  return pending_.size();
-}
-
-std::size_t JobQueue::Running() const {
-  MutexLock lock(mu_);
-  return running_;
-}
-
 void JobQueue::RunnerLoop() {
   for (;;) {
     std::shared_ptr<internal::JobState> job;
@@ -166,7 +156,6 @@ void JobQueue::RunnerLoop() {
       if (pending_.empty()) return;  // shutdown and fully drained
       job = pending_.front();
       pending_.pop_front();
-      ++running_;
       running_jobs_.push_back(RunningJob{job.get(), job->predicted_us,
                                          std::chrono::steady_clock::now()});
       user = job->spec.user.empty() ? cluster_.options().user : job->spec.user;
@@ -202,7 +191,6 @@ void JobQueue::RunnerLoop() {
     }
     {
       MutexLock lock(mu_);
-      --running_;
       for (auto it = running_jobs_.begin(); it != running_jobs_.end(); ++it) {
         if (it->state == job.get()) {
           running_jobs_.erase(it);

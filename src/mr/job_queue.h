@@ -120,11 +120,6 @@ class JobQueue {
   /// and the mr.jobs_rejected{user} counter. A cold predictor admits.
   JobHandle Submit(JobSpec spec);
 
-  /// Jobs submitted but not yet picked up by a runner thread.
-  std::size_t Pending() const;
-  /// Jobs currently executing.
-  std::size_t Running() const;
-
  private:
   struct RunningJob {
     const internal::JobState* state = nullptr;
@@ -143,7 +138,6 @@ class JobQueue {
   mutable Mutex mu_{Rank::kJobQueue, "JobQueue::mu_"};
   CondVar cv_;
   std::deque<std::shared_ptr<internal::JobState>> pending_ GUARDED_BY(mu_);
-  std::size_t running_ GUARDED_BY(mu_) = 0;
   std::vector<RunningJob> running_jobs_ GUARDED_BY(mu_);
   // Aggregate predicted remaining work per user, mirrored into the arbiter.
   std::map<std::string, double> demand_us_ GUARDED_BY(mu_);

@@ -797,8 +797,10 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
   // with the same JobSpec::name used to share deterministic spill ids, and
   // first-writer-wins corrupted the loser's reduce input. Tagged scopes stay
   // name-stable on purpose — cross-job §II-C reuse looks manifests up by tag.
-  const std::string spill_scope =
-      !tag.empty() ? tag : "j" + std::to_string(job_id_) + "/" + spec_.name;
+  std::string spill_scope = tag;
+  if (tag.empty()) {
+    spill_scope.append("j").append(std::to_string(job_id_)).append("/").append(spec_.name);
+  }
   const std::string manifest_id = ManifestId(spill_scope, meta_.name, block);
   const HashKey manifest_key = KeyOf(manifest_id);
 
@@ -841,9 +843,7 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
     }
     out.locality = served_by == w.id() ? "local_disk" : "remote_disk";
     data = std::make_shared<const std::string>(std::move(read.value()));
-    if (spec_.cache_input) {
-      w.CachePut(block_id, block_key, data, cache::EntryKind::kInput);
-    }
+    w.CachePut(block_id, block_key, data, cache::EntryKind::kInput);
   }
   out.input_bytes = data->size();
 
@@ -856,7 +856,7 @@ JobRunner::MapOutcome JobRunner::RunMapTask(WorkerServer& w, BlockRef ref,
   records.clear();
   record_arena.Reset();
   Status rec_status = ExtractRecordViews(
-      meta_, block, spec_.record_delim, *data,
+      meta_, block, '\n', *data,
       [&](std::uint64_t j) { return w.dfs().ReadBlock(meta_, j); },
       [&](std::uint64_t j, Bytes off, Bytes len) {
         return w.dfs().ReadBlockRange(meta_, j, off, len);
@@ -947,7 +947,7 @@ JobRunner::ReduceOutcome JobRunner::RunReduceTask(WorkerServer& w,
       data = std::make_shared<const std::string>(std::move(obj.value()));
       // Only tagged spills can hit again once this job returns; an untagged
       // one would hold oCache budget until evicted and is deleted at exit.
-      if (spec_.cache_intermediates && !spec_.intermediate_tag.empty()) {
+      if (!spec_.intermediate_tag.empty()) {
         w.CachePut(spill.id, spill.range_begin, data, cache::EntryKind::kOutput);
       }
     }

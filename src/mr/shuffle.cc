@@ -10,19 +10,6 @@
 
 namespace eclipse::mr {
 
-std::string EncodeSpill(const std::vector<KV>& pairs) {
-  std::size_t bytes = 4;
-  for (const auto& kv : pairs) bytes += 8 + kv.key.size() + kv.value.size();
-  BinaryWriter w;
-  w.Reserve(bytes);
-  w.PutU32(static_cast<std::uint32_t>(pairs.size()));
-  for (const auto& kv : pairs) {
-    w.PutString(kv.key);
-    w.PutString(kv.value);
-  }
-  return w.Take();
-}
-
 void EncodeSpillTo(const std::vector<KVView>& pairs, BinaryWriter& w) {
   w.Clear();
   std::size_t bytes = 4;
@@ -39,6 +26,8 @@ Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out) {
   BinaryReader r(data);
   std::uint32_t n = 0;
   if (!r.GetU32(&n)) return Status::Error(ErrorCode::kCorruption, "truncated spill");
+  // Every entry needs at least two length prefixes: a corrupted count can
+  // not force an allocation larger than the payload could possibly hold.
   if (static_cast<std::size_t>(n) > r.remaining() / 8 + 1) {
     return Status::Error(ErrorCode::kCorruption, "implausible spill entry count");
   }
@@ -53,32 +42,6 @@ Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out) {
   return Status::Ok();
 }
 
-Status DecodeSpillInto(const std::string& data, std::vector<KV>* out) {
-  BinaryReader r(data);
-  std::uint32_t n = 0;
-  if (!r.GetU32(&n)) return Status::Error(ErrorCode::kCorruption, "truncated spill");
-  // Every entry needs at least two length prefixes: a corrupted count can
-  // not force an allocation larger than the payload could possibly hold.
-  if (static_cast<std::size_t>(n) > r.remaining() / 8 + 1) {
-    return Status::Error(ErrorCode::kCorruption, "implausible spill entry count");
-  }
-  out->reserve(out->size() + n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    KV kv;
-    if (!r.GetString(&kv.key) || !r.GetString(&kv.value)) {
-      return Status::Error(ErrorCode::kCorruption, "truncated spill entry");
-    }
-    out->push_back(std::move(kv));
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<KV>> DecodeSpill(const std::string& data) {
-  std::vector<KV> out;
-  if (Status s = DecodeSpillInto(data, &out); !s.ok()) return s;
-  return out;
-}
-
 ECLIPSE_HOT_PATH
 std::size_t RouteToRange(const std::vector<HashKey>& sorted_begins, HashKey hk) {
   // Ranges tile the ring: range i covers [begins[i], begins[i+1]) and the
@@ -88,26 +51,6 @@ std::size_t RouteToRange(const std::vector<HashKey>& sorted_begins, HashKey hk) 
   auto it = std::upper_bound(sorted_begins.begin(), sorted_begins.end(), hk);
   if (it == sorted_begins.begin()) return sorted_begins.size() - 1;
   return static_cast<std::size_t>(it - sorted_begins.begin()) - 1;
-}
-
-bool ForEachGroup(std::vector<KV>& pairs,
-                  const std::function<bool(const std::string& key,
-                                           std::vector<std::string>& values)>& fn) {
-  // Stable: ties keep their input (spill) order, so the value sequences are
-  // identical to what per-key append into a std::map produced.
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const KV& a, const KV& b) { return a.key < b.key; });
-  std::vector<std::string> values;
-  for (std::size_t i = 0; i < pairs.size();) {
-    std::size_t j = i + 1;
-    while (j < pairs.size() && pairs[j].key == pairs[i].key) ++j;
-    values.clear();
-    values.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) values.push_back(std::move(pairs[k].value));
-    if (!fn(pairs[i].key, values)) return false;
-    i = j;
-  }
-  return true;
 }
 
 std::string SpillId(const std::string& prefix, const KeyRange& range, std::uint64_t seq) {

@@ -30,7 +30,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,24 +51,17 @@ struct SpillInfo {
   Bytes bytes;
 };
 
-/// Serialize / parse one spill's KV payload.
-std::string EncodeSpill(const std::vector<KV>& pairs);
-Result<std::vector<KV>> DecodeSpill(const std::string& data);
-
 /// Encode `pairs` into `w` (cleared first). The writer keeps its backing
 /// buffer, so a pooled writer encodes every spill of a task through one
 /// warmed allocation.
 void EncodeSpillTo(const std::vector<KVView>& pairs, BinaryWriter& w);
 
-/// Append-decoding variant: parses into `*out` (reserving ahead) so a
-/// reducer can accumulate many spills into one flat vector without
-/// per-spill intermediate allocations. On error `*out` may hold a partial
-/// tail; callers treat the whole decode as failed.
-Status DecodeSpillInto(const std::string& data, std::vector<KV>* out);
-
-/// Zero-copy decode: appended views alias `data`, which must stay alive —
-/// and unmoved — while the views are used (the reduce path pins each spill
-/// payload through its cache handle for exactly this reason).
+/// Zero-copy decode, appending to `*out` (reserving ahead) so a reducer
+/// accumulates every spill into one flat vector. The views alias `data`,
+/// which must stay alive — and unmoved — while they are used (the reduce
+/// path pins each spill payload through its cache handle for exactly this
+/// reason). On error `*out` may hold a partial tail; callers treat the
+/// whole decode as failed.
 Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out);
 
 /// Index into `sorted_begins` (ascending range-begin boundaries of a set of
@@ -78,15 +70,6 @@ Status DecodeSpillViews(const std::string& data, std::vector<KVView>* out);
 /// exercised directly by tests against the linear-scan reference.
 ECLIPSE_HOT_PATH
 std::size_t RouteToRange(const std::vector<HashKey>& sorted_begins, HashKey hk);
-
-/// Sort-then-group `pairs` by key (stable: values keep their spill order)
-/// and invoke `fn(key, values)` once per distinct key in ascending key
-/// order, moving the values out of `pairs`. Returns false if `fn` returned
-/// false (early stop), true otherwise. Owning-KV variant kept for tests and
-/// tools; the reduce data path uses ForEachGroupViews.
-bool ForEachGroup(std::vector<KV>& pairs,
-                  const std::function<bool(const std::string& key,
-                                           std::vector<std::string>& values)>& fn);
 
 /// Reusable reduce-task buffers. One instance lives per executor thread
 /// (thread_local in job_runner.cc): Clear() drops contents but keeps every
@@ -105,11 +88,11 @@ struct ReduceScratch {
 };
 
 /// Group scratch.pairs by key and call fn(key, values) per distinct key in
-/// ascending key order; value views keep their append (spill) order, which
-/// matches what the stable sort in ForEachGroup produced. Returns false on
-/// early stop. Templated on Fn so the call costs no std::function
-/// allocation; uses an index sort (std::sort is in-place; std::stable_sort
-/// allocates a merge buffer) to stay allocation-free once scratch is warm.
+/// ascending key order; value views keep their append (spill) order, as a
+/// per-key append into a std::map would. Returns false on early stop.
+/// Templated on Fn so the call costs no std::function allocation; uses an
+/// index sort (std::sort is in-place; std::stable_sort allocates a merge
+/// buffer) to stay allocation-free once scratch is warm.
 template <typename Fn>
 ECLIPSE_HOT_PATH bool ForEachGroupViews(ReduceScratch& scratch, Fn&& fn) {
   const std::vector<KVView>& pairs = scratch.pairs;

@@ -103,23 +103,16 @@ struct JobSpec {
   /// Additional DHT-FS inputs mapped alongside input_file (one map task per
   /// block of every input; reducers see the union of intermediates).
   std::vector<std::string> extra_inputs;
+  /// Maps every '\n'-separated line of the inputs as one record. Input
+  /// blocks are cached in iCache on read (the paper's implicit input caching).
   MapperFactory mapper;
   ReducerFactory reducer;
 
-  /// Records are input lines split on this delimiter.
-  char record_delim = '\n';
-
-  /// Cache input blocks in iCache on read (paper: implicit input caching).
-  bool cache_input = true;
-
-  /// Cache a tagged job's intermediate spills in the reducer-side oCache on
-  /// first read. Untagged spills are private to their job and deleted when
-  /// it returns, so they are never cached.
-  bool cache_intermediates = true;
-
   /// Non-empty: tag intermediate results for cross-job reuse (§II-B oCache).
   /// A later job with the same tag and input skips its map computation and
-  /// feeds reducers from the stored spills.
+  /// feeds reducers from the stored spills, which reducers cache in oCache
+  /// on first read. Untagged spills are private to their job and deleted
+  /// when it returns, so they are never cached.
   std::string intermediate_tag;
 
   /// TTL for persisted intermediate results (zero: keep until deleted).

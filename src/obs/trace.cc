@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string_view>
@@ -286,245 +285,37 @@ void TraceSpan::AddArg(TraceArg arg) {
   if (nargs_ < args_.size()) args_[nargs_++] = arg;
 }
 
-Status ValidateChromeTrace(const std::string& json) {
-  // Minimal recursive-descent JSON walk, specialized to surface the fields
-  // the trace contract cares about.
-  struct Parser {
-    const char* p;
-    const char* end;
-    std::string err;
-
-    bool Fail(const std::string& m) {
-      if (err.empty()) err = m;
-      return false;
+Status ValidateChromeTrace(const std::vector<TraceEvent>& events) {
+  std::map<std::pair<std::int32_t, std::uint32_t>, std::vector<std::string_view>> open;
+  for (const TraceEvent& e : events) {
+    if (e.name == nullptr || e.cat == nullptr) {
+      return Status::Error(ErrorCode::kCorruption, "trace: event without name or category");
     }
-    void Ws() {
-      while (p < end && (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t')) ++p;
-    }
-    bool Lit(const char* s) {
-      std::size_t n = std::char_traits<char>::length(s);
-      if (static_cast<std::size_t>(end - p) < n || std::string_view(p, n) != s) {
-        return Fail(std::string("expected literal ") + s);
-      }
-      p += n;
-      return true;
-    }
-    bool Str(std::string* out) {
-      if (p >= end || *p != '"') return Fail("expected string");
-      ++p;
-      while (p < end && *p != '"') {
-        if (*p == '\\') {
-          ++p;
-          if (p >= end) return Fail("bad escape");
-          if (*p == 'u') {
-            if (end - p < 5) return Fail("bad \\u escape");
-            p += 4;
-          }
-        }
-        if (out != nullptr) out->push_back(*p);
-        ++p;
-      }
-      if (p >= end) return Fail("unterminated string");
-      ++p;
-      return true;
-    }
-    bool Num(double* out) {
-      const char* start = p;
-      if (p < end && (*p == '-' || *p == '+')) ++p;
-      while (p < end && ((*p >= '0' && *p <= '9') || *p == '.' || *p == 'e' || *p == 'E' ||
-                         *p == '-' || *p == '+')) {
-        ++p;
-      }
-      if (p == start) return Fail("expected number");
-      if (out != nullptr) *out = std::strtod(std::string(start, p).c_str(), nullptr);
-      return true;
-    }
-    bool Value() {  // skip any value
-      Ws();
-      if (p >= end) return Fail("unexpected end");
-      switch (*p) {
-        case '"': return Str(nullptr);
-        case '{': return Object(nullptr);
-        case '[': return Array();
-        case 't': return Lit("true");
-        case 'f': return Lit("false");
-        case 'n': return Lit("null");
-        default: return Num(nullptr);
-      }
-    }
-    bool Array() {
-      if (*p != '[') return Fail("expected [");
-      ++p;
-      Ws();
-      if (p < end && *p == ']') {
-        ++p;
-        return true;
-      }
-      for (;;) {
-        if (!Value()) return false;
-        Ws();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        return Fail("expected , or ] in array");
-      }
-    }
-    // Parse an object; when `fields` is non-null, record scalar members.
-    bool Object(std::map<std::string, std::pair<std::string, double>>* fields) {
-      if (*p != '{') return Fail("expected {");
-      ++p;
-      Ws();
-      if (p < end && *p == '}') {
-        ++p;
-        return true;
-      }
-      for (;;) {
-        Ws();
-        std::string key;
-        if (!Str(&key)) return false;
-        Ws();
-        if (p >= end || *p != ':') return Fail("expected :");
-        ++p;
-        Ws();
-        if (fields != nullptr && p < end && *p == '"') {
-          std::string sval;
-          if (!Str(&sval)) return false;
-          (*fields)[key] = {sval, 0.0};
-        } else if (fields != nullptr && p < end && *p != '{' && *p != '[' && *p != 't' &&
-                   *p != 'f' && *p != 'n') {
-          double num = 0.0;
-          if (!Num(&num)) return false;
-          (*fields)[key] = {"", num};
-        } else {
-          if (!Value()) return false;
-          if (fields != nullptr) (*fields)[key] = {"", 0.0};
-        }
-        Ws();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        return Fail("expected , or } in object");
-      }
-    }
-  };
-
-  Parser ps{json.data(), json.data() + json.size(), {}};
-  ps.Ws();
-  if (ps.p >= ps.end || *ps.p != '{') {
-    return Status::Error(ErrorCode::kCorruption, "trace: top level is not an object");
-  }
-  ++ps.p;
-  bool saw_events = false;
-  double last_ts = -1.0;
-  std::map<std::pair<int, int>, std::vector<std::string>> stacks;
-
-  auto validate_event = [&](Parser& q) -> bool {
-    std::map<std::string, std::pair<std::string, double>> f;
-    if (!q.Object(&f)) return false;
-    for (const char* req : {"ph", "ts", "pid", "tid", "name", "cat"}) {
-      if (f.find(req) == f.end()) return q.Fail(std::string("event missing field ") + req);
-    }
-    const std::string& ph = f["ph"].first;
-    if (ph != "B" && ph != "E" && ph != "i" && ph != "X") {
-      return q.Fail("event has unsupported phase '" + ph + "'");
-    }
-    double ts = f["ts"].second;
-    if (ts < last_ts) return q.Fail("timestamps not monotonically ordered");
-    last_ts = ts;
-    auto track =
-        std::make_pair(static_cast<int>(f["pid"].second), static_cast<int>(f["tid"].second));
-    const std::string& name = f["name"].first;
-    if (ph == "B") {
-      stacks[track].push_back(name);
-    } else if (ph == "E") {
-      auto& stack = stacks[track];
-      if (stack.empty()) return q.Fail("E event '" + name + "' without matching B");
-      if (stack.back() != name) {
-        return q.Fail("E event '" + name + "' does not match open B '" + stack.back() + "'");
-      }
-      stack.pop_back();
-    } else if (ph == "X") {
-      if (f.find("dur") == f.end()) return q.Fail("X event missing dur");
-    }
-    return true;
-  };
-
-  for (;;) {
-    ps.Ws();
-    std::string key;
-    if (!ps.Str(&key)) break;
-    ps.Ws();
-    if (ps.p >= ps.end || *ps.p != ':') {
-      ps.Fail("expected :");
-      break;
-    }
-    ++ps.p;
-    ps.Ws();
-    if (key == "traceEvents") {
-      saw_events = true;
-      if (ps.p >= ps.end || *ps.p != '[') {
-        ps.Fail("traceEvents is not an array");
+    std::vector<std::string_view>& stack = open[{e.pid, e.tid}];
+    switch (e.phase) {
+      case 'B':
+        stack.push_back(e.name);
         break;
-      }
-      ++ps.p;
-      ps.Ws();
-      if (ps.p < ps.end && *ps.p == ']') {
-        ++ps.p;
-      } else {
-        bool ok = true;
-        for (;;) {
-          ps.Ws();
-          if (!validate_event(ps)) {
-            ok = false;
-            break;
-          }
-          ps.Ws();
-          if (ps.p < ps.end && *ps.p == ',') {
-            ++ps.p;
-            continue;
-          }
-          if (ps.p < ps.end && *ps.p == ']') {
-            ++ps.p;
-            break;
-          }
-          ps.Fail("expected , or ] in traceEvents");
-          ok = false;
-          break;
+      case 'E':
+        if (stack.empty() || stack.back() != e.name) {
+          return Status::Error(ErrorCode::kCorruption,
+                               std::string("trace: E event '") + e.name +
+                                   "' does not close the innermost open span");
         }
-        if (!ok) break;
-      }
-    } else {
-      if (!ps.Value()) break;
+        stack.pop_back();
+        break;
+      case 'i':
+      case 'X':
+        break;
+      default:
+        return Status::Error(ErrorCode::kCorruption,
+                             std::string("trace: unsupported phase '") + e.phase + "'");
     }
-    ps.Ws();
-    if (ps.p < ps.end && *ps.p == ',') {
-      ++ps.p;
-      continue;
-    }
-    if (ps.p < ps.end && *ps.p == '}') {
-      ++ps.p;
-      break;
-    }
-    ps.Fail("expected , or } at top level");
-    break;
   }
-
-  if (!ps.err.empty()) return Status::Error(ErrorCode::kCorruption, "trace: " + ps.err);
-  if (!saw_events) return Status::Error(ErrorCode::kCorruption, "trace: no traceEvents array");
-  for (const auto& [track, stack] : stacks) {
+  for (const auto& [track, stack] : open) {
     if (!stack.empty()) {
       return Status::Error(ErrorCode::kCorruption,
-                           "trace: unclosed span '" + stack.back() + "' on pid " +
+                           "trace: unclosed span '" + std::string(stack.back()) + "' on pid " +
                                std::to_string(track.first) + " tid " +
                                std::to_string(track.second));
     }

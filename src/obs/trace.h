@@ -200,12 +200,11 @@ class TraceSpan {
   std::array<TraceArg, TraceEvent::kMaxArgs> args_{};
 };
 
-/// Structural validation of a Chrome trace-event JSON document (the subset
-/// ExportChromeTrace produces): well-formed JSON, a traceEvents array whose
-/// events carry the required fields, file-order timestamps non-decreasing,
-/// every 'B' matched by an 'E' of the same name on its (pid, tid) track in
-/// stack order, and 'X' durations present. tools/trace_report.py performs
-/// the same checks out of process.
-Status ValidateChromeTrace(const std::string& json);
+/// Structural check of a capture (run it on Tracer::Snapshot()): every
+/// event has a name and category and a 'B', 'E', 'i' or 'X' phase, and on
+/// each (pid, tid) track every 'E' closes the innermost open 'B' of the same
+/// name, leaving no span open. The JSON syntax of an exported file is
+/// checked out of process by tools/trace_report.py.
+Status ValidateChromeTrace(const std::vector<TraceEvent>& events);
 
 }  // namespace eclipse::obs

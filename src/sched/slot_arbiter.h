@@ -74,9 +74,6 @@ class SlotArbiter {
   /// the static-weight arbiter until predictions flow.
   void SetPredictedDemand(const std::string& user, double demand_us);
 
-  /// Currently reported demand for `user` (µs; 0 when none).
-  double PredictedDemand(const std::string& user) const;
-
   /// Block until a slot of `kind` on `worker` is granted. Returns:
   ///   Ok            — slot held; caller must Release(worker, kind, user)
   ///   kUnavailable  — worker unknown or removed (re-place the task)

@@ -6,7 +6,11 @@
 namespace eclipse::workload {
 namespace {
 
-std::string WordFor(std::size_t rank) { return "w" + std::to_string(rank); }
+std::string WordFor(std::size_t rank) {
+  std::string word = "w";
+  word += std::to_string(rank);
+  return word;
+}
 
 }  // namespace
 
@@ -117,8 +121,12 @@ std::string GenerateGraph(Rng& rng, const GraphOptions& options) {
   }
   std::string out;
   for (std::size_t i = 0; i < n; ++i) {
-    out += "n" + std::to_string(i);
-    for (auto t : adj[i]) out += " n" + std::to_string(t);
+    out += 'n';
+    out += std::to_string(i);
+    for (auto t : adj[i]) {
+      out += " n";
+      out += std::to_string(t);
+    }
     out.push_back('\n');
   }
   return out;

@@ -183,6 +183,71 @@ TEST(Fault, HeartbeatsDriveAutomaticRecovery) {
   EXPECT_EQ(result.output.size(), apps::WordCountSerial(text).size());
 }
 
+// A failure that heartbeats detect goes through the same removal path as an
+// operator's KillServer, so it shows in the recovery counters too — once,
+// although every surviving agent reports it.
+TEST(Fault, HeartbeatEvictionCountsOneRecovery) {
+  ClusterOptions opts = FaultyCluster(5);
+  opts.start_membership = true;
+  opts.membership.heartbeat_interval = std::chrono::milliseconds(10);
+  opts.membership.miss_threshold = 2;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", SampleText(23)).ok());
+  auto counter = [&cluster](const char* name) {
+    return cluster.metrics().GetCounter(name).value();
+  };
+
+  cluster.worker(2).Kill();  // raw crash: no operator call
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (std::chrono::steady_clock::now() < deadline && counter("cluster.recoveries") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(counter("cluster.recoveries"), 1u) << "heartbeat eviction was not counted";
+  EXPECT_GT(counter("cluster.blocks_rereplicated"), 0u);
+  EXPECT_EQ(counter("cluster.blocks_lost"), 0u);
+  // Later reports of the same failure find it off the ring already.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(counter("cluster.recoveries"), 1u);
+}
+
+// Intermediates are unreplicated by design (§II-C): the take-over pass after
+// a mid-job crash must not copy a job's private spills to other servers, or
+// those copies outlive the job, which deletes only the copy it wrote.
+TEST(Fault, KillMidJobLeavesNoIntermediatesBehind) {
+  ClusterOptions opts = FaultyCluster(8);
+  opts.block_size = 4_KiB;
+  Cluster cluster(opts);
+  const std::string text = SampleText(31, 256_KiB);
+  ASSERT_TRUE(cluster.dfs().Upload("corpus", text).ok());
+  JobSpec spec = apps::WordCountJob("wc", "corpus");
+  spec.spill_threshold = 512;
+
+  constexpr int kVictim = 5;
+  auto spills_on = [&cluster](int id) {
+    std::size_t n = 0;
+    for (const auto& info : cluster.worker(id).dfs_node().blocks().List()) {
+      if (info.id.rfind("im/", 0) == 0) ++n;
+    }
+    return n;
+  };
+  auto spills_on_survivors = [&] {
+    std::size_t n = 0;
+    for (int id : cluster.WorkerIds()) {
+      if (id != kVictim) n += spills_on(id);
+    }
+    return n;
+  };
+
+  JobHandle handle = cluster.Submit(spec);
+  // Crash once spills sit on servers that survive, so recovery meets them.
+  while (!handle.done() && spills_on_survivors() == 0) std::this_thread::yield();
+  cluster.KillServer(kVictim);
+  JobResult result = handle.Wait();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.output.size(), apps::WordCountSerial(text).size());
+  EXPECT_EQ(spills_on_survivors(), 0u) << "intermediate objects outlived their job";
+}
+
 TEST(Fault, KillDuringJobStillCompletes) {
   Cluster cluster(FaultyCluster(6));
   std::string text = SampleText(13, 20000);

@@ -29,10 +29,20 @@ TEST(Fuzz, SpillDecoderSurvivesGarbage) {
   Rng rng(1);
   for (int i = 0; i < 2000; ++i) {
     auto data = RandomBytes(rng, rng.Below(200));
-    auto result = mr::DecodeSpill(data);  // must not crash; ok() only if valid
-    if (result.ok()) {
+    // The reducer's decoder: must not crash, and every view it hands back
+    // must lie inside the payload.
+    std::vector<mr::KVView> views;
+    if (mr::DecodeSpillViews(data, &views).ok()) {
+      for (const mr::KVView& kv : views) {
+        for (std::string_view field : {kv.key, kv.value}) {
+          EXPECT_GE(field.data(), data.data());
+          EXPECT_LE(field.data() + field.size(), data.data() + data.size());
+        }
+      }
       // If it decoded, re-encoding must reproduce a prefix-consistent size.
-      EXPECT_LE(mr::EncodeSpill(result.value()).size(), data.size() + 4);
+      BinaryWriter w;
+      mr::EncodeSpillTo(views, w);
+      EXPECT_LE(w.str().size(), data.size() + 4);
     }
   }
 }

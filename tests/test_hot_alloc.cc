@@ -112,7 +112,8 @@ TEST(HotAlloc, WarmedWordCountMapperIsAllocationFree) {
   for (int i = 0; i < 400; ++i) {
     std::string line;
     for (int j = 0; j < 12; ++j) {
-      line += "w" + std::to_string((i * 31 + j * 7) % 900) + (j % 3 == 0 ? "\t" : " ");
+      line.append("w").append(std::to_string((i * 31 + j * 7) % 900));
+      line.append(j % 3 == 0 ? "\t" : " ");
     }
     lines.push_back(std::move(line));
   }

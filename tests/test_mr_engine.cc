@@ -109,7 +109,8 @@ TEST(MrEngine, SortProducesGlobalOrder) {
   Rng rng(3);
   std::string text;
   for (int i = 0; i < 200; ++i) {
-    text += "k" + std::to_string(rng.Below(500)) + " payload" + std::to_string(i) + "\n";
+    text.append("k").append(std::to_string(rng.Below(500)));
+    text.append(" payload").append(std::to_string(i)).append("\n");
   }
   ASSERT_TRUE(cluster.dfs().Upload("records", text).ok());
 

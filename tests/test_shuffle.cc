@@ -11,17 +11,37 @@
 namespace eclipse::mr {
 namespace {
 
+// The spill codec the map and reduce paths run: EncodeSpillTo into a
+// writer, DecodeSpillViews back into views over the encoded bytes.
+std::string Encode(const std::vector<KVView>& pairs) {
+  BinaryWriter w;
+  EncodeSpillTo(pairs, w);
+  return w.Take();
+}
+
+std::vector<KV> Owned(const std::vector<KVView>& views) {
+  std::vector<KV> out;
+  for (const KVView& kv : views) out.push_back({std::string(kv.key), std::string(kv.value)});
+  return out;
+}
+
 TEST(Spill, EncodeDecodeRoundTrip) {
-  std::vector<KV> pairs = {{"k1", "v1"}, {"k2", ""}, {"", "v3"}};
-  auto back = DecodeSpill(EncodeSpill(pairs));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), pairs);
+  std::vector<KVView> pairs = {{"k1", "v1"}, {"k2", ""}, {"", "v3"}};
+  const std::string data = Encode(pairs);
+  std::vector<KVView> back;
+  ASSERT_TRUE(DecodeSpillViews(data, &back).ok());
+  EXPECT_EQ(Owned(back), Owned(pairs));
+  // The views alias the encoded payload, not copies of it.
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_GE(back[0].key.data(), data.data());
+  EXPECT_LT(back[0].key.data(), data.data() + data.size());
 }
 
 TEST(Spill, DecodeTruncatedFails) {
-  auto data = EncodeSpill({{"key", "value"}});
-  EXPECT_FALSE(DecodeSpill(data.substr(0, data.size() - 2)).ok());
-  EXPECT_FALSE(DecodeSpill("").ok());
+  const std::string data = Encode({{"key", "value"}});
+  std::vector<KVView> out;
+  EXPECT_FALSE(DecodeSpillViews(data.substr(0, data.size() - 2), &out).ok());
+  EXPECT_FALSE(DecodeSpillViews("", &out).ok());
 }
 
 TEST(Manifest, RoundTrip) {
@@ -85,24 +105,29 @@ TEST(RouteToRangeTest, MatchesLinearScanOnRandomBoundaryTables) {
 
 TEST(ForEachGroupTest, MatchesMapGroupingIncludingValueOrder) {
   Rng rng(11);
+  ReduceScratch scratch;
   for (int round = 0; round < 50; ++round) {
-    std::vector<KV> pairs;
+    std::vector<KV> pairs;  // owns the bytes scratch.pairs views
     std::map<std::string, std::vector<std::string>> expect;
     std::size_t n = rng.Below(200);
     for (std::size_t i = 0; i < n; ++i) {
       // Few distinct keys → long runs; values unique so order is observable.
-      KV kv{"k" + std::to_string(rng.Below(9)), "v" + std::to_string(i)};
+      KV kv{"k", "v"};
+      kv.key += std::to_string(rng.Below(9));
+      kv.value += std::to_string(i);
       expect[kv.key].push_back(kv.value);
       pairs.push_back(std::move(kv));
     }
+    scratch.Clear();  // reused across rounds, as on an executor thread
+    for (const KV& kv : pairs) scratch.pairs.push_back({kv.key, kv.value});
     std::map<std::string, std::vector<std::string>> got;
     std::vector<std::string> key_order;
-    EXPECT_TRUE(ForEachGroup(pairs, [&](const std::string& key,
-                                        std::vector<std::string>& values) {
-      key_order.push_back(key);
-      got[key] = values;
-      return true;
-    }));
+    EXPECT_TRUE(ForEachGroupViews(
+        scratch, [&](std::string_view key, const std::vector<std::string_view>& values) {
+          key_order.emplace_back(key);
+          got[std::string(key)].assign(values.begin(), values.end());
+          return true;
+        }));
     EXPECT_EQ(got, expect) << "round " << round;
     // Ascending distinct keys, exactly once each — the std::map iteration
     // order the reduce path used to rely on.
@@ -112,28 +137,29 @@ TEST(ForEachGroupTest, MatchesMapGroupingIncludingValueOrder) {
 }
 
 TEST(ForEachGroupTest, EarlyStopReturnsFalse) {
-  std::vector<KV> pairs = {{"b", "1"}, {"a", "2"}, {"b", "3"}};
+  ReduceScratch scratch;
+  scratch.pairs = {{"b", "1"}, {"a", "2"}, {"b", "3"}};
   int calls = 0;
-  EXPECT_FALSE(ForEachGroup(pairs, [&](const std::string&, std::vector<std::string>&) {
-    ++calls;
-    return false;
-  }));
+  EXPECT_FALSE(ForEachGroupViews(
+      scratch, [&](std::string_view, const std::vector<std::string_view>&) {
+        ++calls;
+        return false;
+      }));
   EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(ForEachGroup(pairs, [](const std::string&, std::vector<std::string>&) {
-    return true;
-  }));
+  EXPECT_TRUE(ForEachGroupViews(
+      scratch, [](std::string_view, const std::vector<std::string_view>&) { return true; }));
 }
 
 TEST(DecodeSpillIntoTest, AppendsAcrossSpills) {
-  std::vector<KV> a = {{"k1", "v1"}, {"k2", "v2"}};
-  std::vector<KV> b = {{"k3", "v3"}};
-  std::vector<KV> out;
-  ASSERT_TRUE(DecodeSpillInto(EncodeSpill(a), &out).ok());
-  ASSERT_TRUE(DecodeSpillInto(EncodeSpill(b), &out).ok());
+  const std::string a = Encode({{"k1", "v1"}, {"k2", "v2"}});
+  const std::string b = Encode({{"k3", "v3"}});
+  std::vector<KVView> out;
+  ASSERT_TRUE(DecodeSpillViews(a, &out).ok());
+  ASSERT_TRUE(DecodeSpillViews(b, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].key, "k1");
   EXPECT_EQ(out[2].value, "v3");
-  EXPECT_FALSE(DecodeSpillInto("garbage", &out).ok());
+  EXPECT_FALSE(DecodeSpillViews("garbage", &out).ok());
 }
 
 class ShuffleWriterTest : public ::testing::Test {
@@ -169,16 +195,16 @@ TEST_F(ShuffleWriterTest, FlushPersistsAllPairs) {
   for (const auto& spill : w.spills()) {
     auto data = client_->GetObject(spill.id, spill.range_begin);
     ASSERT_TRUE(data.ok());
-    auto pairs = DecodeSpill(data.value());
-    ASSERT_TRUE(pairs.ok());
-    total += pairs.value().size();
-    EXPECT_EQ(pairs.value().size(), spill.pairs);
+    std::vector<KVView> pairs;
+    ASSERT_TRUE(DecodeSpillViews(data.value(), &pairs).ok());
+    total += pairs.size();
+    EXPECT_EQ(pairs.size(), spill.pairs);
     // Every key in this spill must hash into the spill's range.
     KeyRange range;
     for (const auto& [server, kr] : ranges.entries()) {
       if (kr.begin == spill.range_begin && !kr.IsEmpty()) range = kr;
     }
-    for (const auto& kv : pairs.value()) {
+    for (const auto& kv : pairs) {
       EXPECT_TRUE(range.Contains(KeyOf(kv.key))) << kv.key;
     }
   }

@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Validate and summarize an EclipseMR Chrome trace-event JSON capture.
 
-Out-of-process twin of src/obs: ValidateChromeTrace's structural checks and
-obs::Summarize's per-job reduction, over the JSON artifact instead of the
-in-memory capture. Works on captures from the real engine (B/E spans) and
-from the DES simulator ('X' complete events) alike — that schema parity is
-the point (see docs/observability.md).
+The check of an exported trace file: the JSON must parse, and its events
+must pass validate() — required fields, a known phase, non-decreasing
+timestamps, B/E spans matched by name per (pid, tid) track with none left
+open, 'X' events carrying dur. obs::ValidateChromeTrace checks only the
+in-memory capture, so the exporter's JSON syntax is checked here (ctest runs
+this over every example drill's trace artifact, and
+tests/trace_report_selftest.py proves each rule fires). The summary mirrors
+obs::Summarize's per-job reduction. Works on captures from the real engine
+(B/E spans) and from the DES simulator ('X' complete events) alike — that
+schema parity is the point (see docs/observability.md).
 
 Usage:
     tools/trace_report.py trace.json              # validate + summary
@@ -203,7 +208,7 @@ def load(path):
     except (OSError, json.JSONDecodeError) as e:
         print(f"{path}: unreadable: {e}", file=sys.stderr)
         sys.exit(2)
-    events = doc.get("traceEvents")
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
     if not isinstance(events, list):
         print(f"{path}: no traceEvents array", file=sys.stderr)
         sys.exit(1)
